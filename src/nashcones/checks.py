@@ -1,7 +1,10 @@
-"""Executable property sweeps over the 2-D theory.
+"""The built-in check suites, shared between the command-line verify
+command and the test suite.
 
-Each sweep covers every coprime standard cone (p, q) up to a bound and is
-shared between the command-line verify suite and the test suite.
+The 2-D sweeps cover every coprime standard cone (p, q) up to a bound;
+the table suite compares the classification counts with the published
+tables; the anomaly suite replays the three index-growth examples. Every
+suite prints one PASS/FAIL line per check and returns (name, ok) pairs.
 """
 
 from __future__ import annotations
@@ -10,7 +13,16 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from .cones import cone_from_rays, minkowski_sum_hull
+from .classify import class_counts
+from .cones import (
+    cone_from_facets,
+    cone_from_rays,
+    dual_index,
+    equivalent,
+    index,
+    is_smooth,
+    minkowski_sum_hull,
+)
 from .nash import nash_blowup
 from .surface import (
     StdCone2D,
@@ -165,3 +177,58 @@ def surface_suite(q_max=100):
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     return checks
+
+
+def _check(report, name, ok):
+    report.append((name, bool(ok)))
+    print(f"{'PASS' if ok else 'FAIL'}  {name}")
+
+
+T3_REFERENCE = [
+    1, 2, 4, 7, 8, 11, 14, 21, 23, 25, 28, 43, 38, 45,
+    59, 66, 60, 76, 74, 101, 107, 99, 104, 153, 135, 135, 163,
+]
+T4_REFERENCE = [1, 3, 7, 16, 18, 37, 36, 83]
+
+
+def tables_suite():
+    """Class counts T_3(I) for I <= 27 and T_4(I) for I <= 8, and totals."""
+    report = []
+    got3 = class_counts(3, 27)
+    _check(report, "3-D class counts, index <= 27", got3 == T3_REFERENCE)
+    _check(report, "3-D total class count 1602", sum(got3) == 1602)
+    got4 = class_counts(4, 8)
+    _check(report, "4-D class counts, index <= 8", got4 == T4_REFERENCE)
+    _check(report, "4-D total class count 201", sum(got4) == 201)
+    return report
+
+
+def anomaly_suite():
+    """The three index-growth anomalies of iterated blow-ups."""
+    report = []
+    c65 = cone_from_facets([(1, 0, 0), (0, 1, 0), (1, 3, 6)])
+    target = cone_from_facets([(1, 3, 6), (1, 3, 3), (2, 3, 6)])
+    kids = nash_blowup(c65)
+    ok = any(k.is_simplicial and index(k) == 9 and equivalent(k, target) for k in kids)
+    _check(report, "index 6 cone blows up to a simplicial index-9 cone", ok)
+
+    c922 = cone_from_facets([(1, 0, 0), (1, 3, 0), (1, 0, 3)])
+    named = cone_from_facets([(1, 1, 0), (1, 0, 1), (4, 3, 3)])
+    grand = []
+    for k in nash_blowup(c922):
+        if not is_smooth(k):
+            grand.extend(nash_blowup(k))
+    winners = [g for g in grand if g.is_simplicial and dual_index(g) == 4]
+    ok = dual_index(c922) == 3 and winners and any(equivalent(g, named) for g in winners)
+    _check(report, "dual index 3 -> 4 after two blow-ups", ok)
+
+    big = cone_from_facets([(1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)])
+    c21 = cone_from_facets([(1, 0, 0), (0, 1, 0), (0, 1, 2)])
+    kids = nash_blowup(big)
+    ok = (
+        len(big.rays) == 4
+        and dual_index(big) == 1
+        and any(k.is_simplicial and dual_index(k) == 2 and equivalent(k, c21) for k in kids)
+    )
+    _check(report, "dual index 1 -> 2 through a 4-facet cone", ok)
+    return report

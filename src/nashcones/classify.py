@@ -40,10 +40,7 @@ class ConeClass:
 
     @property
     def display(self):
-        if self.dim == 1:
-            return "A"
-        letter, i, j = self.name.split("_")
-        return f"{letter}_{{{i},{j}}}"
+        return _display(self.name)
 
     @property
     def reducibility_label(self):
@@ -53,7 +50,7 @@ class ConeClass:
         terms = []
         for name in dict.fromkeys(self.reducibility):
             k = self.reducibility.count(name)
-            disp = display_name(name)
+            disp = _display(name)
             if k == 1:
                 terms.append(disp)
             elif name == "A":
@@ -63,7 +60,8 @@ class ConeClass:
         return " ⊕ ".join(terms)
 
 
-def display_name(name):
+def _display(name):
+    """Paper-style class label: 'C_4_7' -> 'C_{4,7}'; 'A' stays 'A'."""
     if name == "A":
         return "A"
     letter, i, j = name.split("_")
@@ -120,14 +118,6 @@ def enumerate_hnf(d, idx):
     return results
 
 
-def _rays_of_presentation(m):
-    d = len(m)
-    dt = la.det(m)
-    adj = la.adjugate(m)
-    sign = 1 if dt > 0 else -1
-    return tuple(la.primitive(tuple(sign * adj[r][j] for r in range(d))) for j in range(d))
-
-
 def _perm_equivalent(adj_new, det_new, other, perms):
     for perm in perms:
         m = la.matmul(adj_new, tuple(other[i] for i in perm))
@@ -151,22 +141,21 @@ def classify(d, idx):
         return (ConeClass("A", 1, 1, 1, ((1,),), (), cone),)
 
     perms = list(permutations(range(d)))
-    reps = []  # (matrix, adj, det, istar)
+    reps = []  # (matrix, cone, istar)
     buckets = {}
     for m in enumerate_hnf(d, idx):
-        dt = la.det(m)
-        adj = la.adjugate(m)
-        istar = abs(la.det(_rays_of_presentation(m)))
+        cone = simplicial_cone(m)
+        istar = abs(la.det(cone.rays))
         bucket = buckets.setdefault(istar, [])
+        adj, dt = la.adjugate(m), la.det(m)
         if any(_perm_equivalent(adj, dt, reps[k][0], perms) for k in bucket):
             continue
         bucket.append(len(reps))
-        reps.append((m, adj, dt, istar))
+        reps.append((m, cone, istar))
 
     classes = []
     letter = _letter(d)
-    for j, (m, _, _, istar) in enumerate(reps, start=1):
-        cone = simplicial_cone(m)
+    for j, (m, cone, istar) in enumerate(reps, start=1):
         factors = direct_sum_decompose(cone)
         if len(factors) == 1:
             reducibility = ()

@@ -14,9 +14,9 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from . import serialize
+from . import checks, serialize
 from .classify import classify, class_counts, cone_by_name
-from .cones import cone_from_facets, cone_from_rays, dual_index, equivalent, index
+from .cones import cone_from_facets, cone_from_rays
 from .errors import BudgetExceeded, LatticeError, NotProper
 from .hilbert import hilbert_basis
 from .nash import resolution_tree, tree_stats, unique_cone_count
@@ -76,7 +76,6 @@ def _cmd_resolve(args):
             memoize=not args.no_memo,
             max_depth=args.max_depth,
             max_nodes=args.max_nodes,
-            jobs=args.jobs,
             memo=memo,
         )
     except BudgetExceeded as exc:
@@ -141,78 +140,13 @@ def _cmd_hj(args):
     return EXIT_OK
 
 
-# ------------------------------------------------------------------ verify
-# suites
-
-
-def _check(report, name, ok):
-    report.append((name, bool(ok)))
-    print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-
-_T3_REFERENCE = [
-    1, 2, 4, 7, 8, 11, 14, 21, 23, 25, 28, 43, 38, 45,
-    59, 66, 60, 76, 74, 101, 107, 99, 104, 153, 135, 135, 163,
-]
-_T4_REFERENCE = [1, 3, 7, 16, 18, 37, 36, 83]
-
-
-def _verify_tables():
-    report = []
-    got3 = class_counts(3, 27)
-    _check(report, "3-D class counts, index <= 27", got3 == _T3_REFERENCE)
-    _check(report, "3-D total class count 1602", sum(got3) == 1602)
-    got4 = class_counts(4, 8)
-    _check(report, "4-D class counts, index <= 8", got4 == _T4_REFERENCE)
-    _check(report, "4-D total class count 201", sum(got4) == 201)
-    return report
-
-
-def _verify_surface():
-    from .checks import surface_suite
-
-    return surface_suite(q_max=100)
-
-
-def _verify_anomalies():
-    report = []
-    c65 = cone_from_facets([(1, 0, 0), (0, 1, 0), (1, 3, 6)])
-    target = cone_from_facets([(1, 3, 6), (1, 3, 3), (2, 3, 6)])
-    from .nash import nash_blowup
-
-    kids = nash_blowup(c65)
-    ok = any(k.is_simplicial and index(k) == 9 and equivalent(k, target) for k in kids)
-    _check(report, "index 6 cone blows up to a simplicial index-9 cone", ok)
-
-    c922 = cone_from_facets([(1, 0, 0), (1, 3, 0), (1, 0, 3)])
-    named = cone_from_facets([(1, 1, 0), (1, 0, 1), (4, 3, 3)])
-    grand = []
-    for k in nash_blowup(c922):
-        if not (k.is_simplicial and index(k) == 1):
-            grand.extend(nash_blowup(k))
-    winners = [g for g in grand if g.is_simplicial and dual_index(g) == 4]
-    ok = dual_index(c922) == 3 and winners and any(equivalent(g, named) for g in winners)
-    _check(report, "dual index 3 -> 4 after two blow-ups", ok)
-
-    big = cone_from_facets([(1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)])
-    c21 = cone_from_facets([(1, 0, 0), (0, 1, 0), (0, 1, 2)])
-    kids = nash_blowup(big)
-    ok = (
-        len(big.rays) == 4
-        and dual_index(big) == 1
-        and any(k.is_simplicial and dual_index(k) == 2 and equivalent(k, c21) for k in kids)
-    )
-    _check(report, "dual index 1 -> 2 through a 4-facet cone", ok)
-    return report
-
-
 def _cmd_verify(args):
     if args.suite == "tables":
-        report = _verify_tables()
+        report = checks.tables_suite()
     elif args.suite == "surface":
-        report = _verify_surface()
+        report = checks.surface_suite(q_max=100)
     else:
-        report = _verify_anomalies()
+        report = checks.anomaly_suite()
     failed = [name for name, ok in report if not ok]
     if failed:
         print(f"{len(failed)} of {len(report)} checks failed", file=sys.stderr)
@@ -242,7 +176,8 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--cache", default=None, metavar="PATH",
                    help="append-only resolution cache (env NASH_CACHE overrides)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored; resolution is single-threaded")
     p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("enumerate", help="count or list simplicial cone classes")

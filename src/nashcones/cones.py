@@ -282,67 +282,11 @@ def localize(p, v):
 # equivalence
 
 
-def _invariants(c):
-    return (len(c.rays), len(c.facets), index(c), dual_index(c))
-
-
-def _equivalent_simplicial(fa, fb):
-    d = len(fa)
-    det_a = la.det(fa)
-    adj_a = la.adjugate(fa)
-    for perm in permutations(range(d)):
-        m = la.matmul(adj_a, tuple(fb[i] for i in perm))
-        if all(x % det_a == 0 for row in m for x in row):
-            return True
-    return False
-
-
-def _lex_independent_rows(rows, d):
-    picked = []
-    for r in rows:
-        if la.rank(picked + [r]) == len(picked) + 1:
-            picked.append(r)
-            if len(picked) == d:
-                return picked
-    raise AssertionError("rows do not span")
-
-
-def _equivalent_general(a, b):
-    d = a.dim
-    base = _lex_independent_rows(list(a.rays), d)
-    base_cols = la.transpose(la.mat(base))
-    det_base = la.det(base_cols)
-    adj_base = la.adjugate(base_cols)
-    rays_b = b.rays
-    target = set(rays_b)
-    for tup in permutations(range(len(rays_b)), d):
-        t_cols = la.transpose(la.mat([rays_b[i] for i in tup]))
-        num = la.matmul(t_cols, adj_base)
-        if any(x % det_base for row in num for x in row):
-            continue
-        u = tuple(tuple(x // det_base for x in row) for row in num)
-        if abs(la.det(u)) != 1:
-            continue
-        if {la.mat_vec(u, r) for r in a.rays} == target:
-            return True
-    return False
-
-
 def equivalent(a, b) -> bool:
-    """Whether some element of GL(d,Z) maps one cone onto the other.
-
-    Simplicial pairs use the presentation permutation-integrality test; the
-    general path matches ordered ray bases and verifies the full ray sets.
-    """
+    """Whether some element of GL(d,Z) maps one cone onto the other."""
     if a.dim != b.dim:
         raise ValueError("cones live in different dimensions")
-    if a.rays == b.rays:
-        return True
-    if _invariants(a) != _invariants(b):
-        return False
-    if a.is_simplicial:
-        return _equivalent_simplicial(a.facets, b.facets)
-    return _equivalent_general(a, b)
+    return canonical_key(a) == canonical_key(b)
 
 
 def canonical_key(c) -> bytes:

@@ -21,10 +21,6 @@ class HilbertBasis:
     cone: Cone
     elements: tuple
 
-    @property
-    def matrix(self):
-        return self.elements
-
 
 def triangulate(c):
     """Placing triangulation of c into simplicial subcones on its own rays.

@@ -9,7 +9,6 @@ canonical form.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import intlinalg as la
@@ -30,17 +29,6 @@ EXPANDED = "expanded"
 PRUNED_KNOWN = "pruned-known"
 PRUNED_DEPTH = "pruned-depth"
 MEMOIZED = "memoized"
-
-
-@dataclass(frozen=True)
-class BlowupStep:
-    """All intermediate data of a single blow-up."""
-
-    cone: Cone
-    hilbert: HilbertBasis
-    sums: frozenset
-    polyhedron: object
-    children: tuple
 
 
 def sum_set(h):
@@ -83,18 +71,10 @@ def sum_set(h):
     return sums
 
 
-def blowup_step(c) -> BlowupStep:
-    """Run one blow-up, keeping the Hilbert basis, sum set and polyhedron."""
-    h = hilbert_basis(c)
-    s = sum_set(h)
-    p = minkowski_sum_hull(c, s)
-    children = tuple(localize(p, v) for v in p.vertices)
-    return BlowupStep(c, h, frozenset(s), p, children)
-
-
 def nash_blowup(c):
     """The multiset of localizations of C + Hull S at its vertices."""
-    return blowup_step(c).children
+    p = minkowski_sum_hull(c, sum_set(hilbert_basis(c)))
+    return tuple(localize(p, v) for v in p.vertices)
 
 
 # ------------------------------------------------------------------ trees
@@ -117,7 +97,7 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class MemoEntry:
-    """Cached statistics of a fully processed subtree."""
+    """Cached statistics of a resolved subtree."""
 
     dim: int
     index: int
@@ -125,7 +105,6 @@ class MemoEntry:
     depth_below: int
     size: int
     max_facets: int
-    resolved: bool
     has_pruned: bool
     child_keys: tuple
 
@@ -193,7 +172,6 @@ def resolution_tree(
     memoize=True,
     max_depth=32,
     max_nodes=100_000,
-    jobs=1,
     memo=None,
 ) -> ResolutionTree:
     """Expand the full resolution tree of c.
@@ -201,38 +179,16 @@ def resolution_tree(
     Smooth cones become leaves; with pruning, simplicial cones of index
     strictly below the threshold become pruned-known leaves; nodes at
     max_depth become pruned-depth leaves. With memoization, a cone whose
-    canonical key was already fully processed becomes a memoized leaf
-    carrying the cached subtree statistics. Children are ordered by
-    canonical key. Raises BudgetExceeded (with the partial tree attached)
-    when more than max_nodes nodes are created.
-
-    Any number of worker threads (jobs > 1) may precompute blow-ups; the
-    assembled tree is identical to the single-threaded one.
+    canonical key heads a resolved subtree that fits within max_depth at
+    this depth becomes a memoized leaf carrying the cached subtree
+    statistics; only resolved subtrees are memoized. Children are ordered
+    by canonical key. Raises BudgetExceeded (with the partial tree
+    attached) when more than max_nodes nodes are created.
     """
     memo_map = {} if memo is None else memo
     new_keys: list = []
     created = [1]
     budget_hit = [False]
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    pending: dict = {}
-
-    def fetch_children(cone):
-        if pool is not None:
-            fut = pending.pop(cone, None)
-            if fut is not None:
-                return fut.result()
-        return nash_blowup(cone)
-
-    def will_expand(cone, depth):
-        if is_smooth(cone):
-            return False
-        if prune_below_index is not None and cone.is_simplicial and index(cone) < prune_below_index:
-            return False
-        if depth >= max_depth:
-            return False
-        if memoize and canonical_key(cone) in memo_map:
-            return False
-        return True
 
     def expand(cone, depth):
         node = TreeNode(
@@ -254,34 +210,29 @@ def resolution_tree(
             node.status = PRUNED_DEPTH
             node.resolved = False
             return node
-        if memoize and node.key in memo_map:
-            entry = memo_map[node.key]
+        entry = memo_map.get(node.key) if memoize else None
+        if entry is not None and depth + entry.depth_below <= max_depth:
             node.status = MEMOIZED
             node.depth_below = entry.depth_below
             node.size = entry.size
             node.max_facets = entry.max_facets
-            node.resolved = entry.resolved
             node.has_pruned = entry.has_pruned
             return node
 
-        children = sorted(fetch_children(cone), key=_child_sort_key)
+        children = sorted(nash_blowup(cone), key=_child_sort_key)
         created[0] += len(children)
         if created[0] > max_nodes:
             budget_hit[0] = True
             node.status = PRUNED_DEPTH
             node.resolved = False
             return node
-        if pool is not None:
-            for ch in children[1:]:
-                if ch not in pending and will_expand(ch, depth + 1):
-                    pending[ch] = pool.submit(nash_blowup, ch)
         node.children = [expand(ch, depth + 1) for ch in children]
         node.depth_below = 1 + max(ch.depth_below for ch in node.children)
         node.size = 1 + sum(ch.size for ch in node.children)
         node.max_facets = max([node.max_facets] + [ch.max_facets for ch in node.children])
         node.resolved = all(ch.resolved for ch in node.children)
         node.has_pruned = any(ch.has_pruned for ch in node.children)
-        if memoize and not budget_hit[0] and node.key not in memo_map:
+        if memoize and node.resolved and node.key not in memo_map:
             memo_map[node.key] = MemoEntry(
                 cone.dim,
                 node.index,
@@ -289,21 +240,14 @@ def resolution_tree(
                 node.depth_below,
                 node.size,
                 node.max_facets,
-                node.resolved,
                 node.has_pruned,
                 tuple(ch.key for ch in node.children),
             )
             new_keys.append(node.key)
         return node
 
-    try:
-        root = expand(c, 0)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     tree = ResolutionTree(
-        root,
+        expand(c, 0),
         prune_below_index,
         memoize,
         max_depth,

@@ -3,8 +3,8 @@
 Text mirrors the tabular convention: depth-indented lines carrying the
 presentation rows and the bracketed index pair. JSON encodes all integers
 as decimal strings so consumers with 64-bit parsers never truncate. The
-cache is an append-only JSON-lines log of fully processed subtrees keyed
-by canonical form.
+cache is an append-only JSON-lines log of resolved subtrees keyed by
+canonical form.
 """
 
 from __future__ import annotations
@@ -193,21 +193,13 @@ def render_dot(tree) -> str:
 # ------------------------------------------------------------------ cache
 
 
-def _entry_status(entry):
-    if not entry.resolved:
-        return "budget"
-    if entry.has_pruned:
-        return "pruned"
-    return "resolved"
-
-
 def _record_from_entry(key, entry, prune):
     return {
         "key": key.hex(),
         "dim": entry.dim,
         "I": str(entry.index),
         "Istar": str(entry.dual_index),
-        "status": _entry_status(entry),
+        "status": "pruned" if entry.has_pruned else "resolved",
         "depth": entry.depth_below,
         "size": entry.size,
         "max_facets": entry.max_facets,
@@ -217,7 +209,6 @@ def _record_from_entry(key, entry, prune):
 
 
 def _entry_from_record(rec) -> MemoEntry:
-    status = rec["status"]
     return MemoEntry(
         rec["dim"],
         int(rec["I"]),
@@ -225,8 +216,7 @@ def _entry_from_record(rec) -> MemoEntry:
         rec["depth"],
         rec["size"],
         rec["max_facets"],
-        status != "budget",
-        status == "pruned",
+        rec["status"] == "pruned",
         tuple(bytes.fromhex(k) for k in rec["child_keys"]),
     )
 
@@ -236,7 +226,8 @@ def load_cache(path, prune=None) -> dict:
 
     A corrupt trailing line is tolerated (everything from the first
     unparsable line on is ignored); duplicate keys must carry identical
-    payloads.
+    payloads. Records of unresolved subtrees ("status": "budget"), which
+    older versions wrote, are skipped.
     """
     memo = {}
     try:
@@ -253,7 +244,7 @@ def load_cache(path, prune=None) -> dict:
             entry = _entry_from_record(rec)
         except (json.JSONDecodeError, KeyError, ValueError):
             break  # truncated or corrupt tail; ignore the rest
-        if rec.get("prune") != prune:
+        if rec.get("prune") != prune or rec["status"] == "budget":
             continue
         if key in memo and memo[key] != entry:
             raise ValueError(f"cache {path}: conflicting records for key {rec['key'][:16]}...")

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
     class_counts,
@@ -10,7 +11,7 @@ from nashcones.classify import (
     cone_by_name,
     enumerate_hnf,
 )
-from nashcones.cones import cone_from_facets, dual_index, equivalent, index
+from nashcones.cones import canonical_key, cone_from_facets, dual_index, equivalent, index
 from nashcones.surface import StdCone2D, standardize_rays
 
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, T3_COUNTS, T4_COUNTS
@@ -52,6 +53,11 @@ def test_counts_small():
     assert class_counts(4, 5) == T4_COUNTS[:5]
 
 
+def test_verify_suite_references_match_tables():
+    assert checks.T3_REFERENCE == T3_COUNTS
+    assert checks.T4_REFERENCE == T4_COUNTS
+
+
 def test_classify_names_and_invariants_match_published_tables():
     for dim, table in ((3, DIM3_CLASSES), (4, DIM4_CLASSES)):
         seen = set()
@@ -86,6 +92,14 @@ def test_classes_pairwise_inequivalent_and_cover():
     for m in enumerate_hnf(3, i):
         c = cone_from_facets(m)
         assert sum(equivalent(c, cls.cone) for cls in table) == 1
+
+
+def test_class_keys_pairwise_distinct():
+    # the classifier deduplicates with its own permutation test; the
+    # canonical keys of its classes must all differ
+    for i in range(1, 13):
+        keys = {canonical_key(cls.cone) for cls in classify(3, i)}
+        assert len(keys) == len(classify(3, i)), i
 
 
 def test_classification_stable_under_enumeration_shuffle():

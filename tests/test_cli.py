@@ -130,6 +130,31 @@ def test_resolve_cache_replay(tmp_path):
     assert len(open(cache).read().splitlines()) == n_lines  # nothing re-appended
 
 
+def test_depth_capped_run_does_not_poison_cache(tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    args = ("resolve", "--facets", "1 0 0; 1 3 0; 1 0 3", "--cache", cache)
+    code, _, err = run_cli(*args, "--max-depth", "1")
+    assert code == 3 and "resolved False" in err
+    code, _, err = run_cli(*args)
+    assert code == 0
+    assert "depth 3  size 49" in err and "resolved True" in err
+
+
+def test_cache_skips_unresolved_records(tmp_path):
+    # caches written by older versions may hold unresolved subtrees
+    cache = str(tmp_path / "cache.jsonl")
+    tree = resolution_tree(cone_from_facets(presentation("C_3_3")), memoize=True)
+    serialize.append_cache(cache, tree)
+    with open(cache) as fh:
+        records = [json.loads(line) for line in fh]
+    stale = dict(records[-1], status="budget", size=1)
+    with open(cache, "a") as fh:
+        fh.write(json.dumps(stale) + "\n")
+    memo = serialize.load_cache(cache, None)
+    assert len(memo) == len(records)
+    assert all(entry.size > 1 for entry in memo.values())
+
+
 def test_cache_tolerates_corrupt_tail(tmp_path):
     cache = str(tmp_path / "cache.jsonl")
     run_cli("resolve", "--name", "C_3_3", "--cache", cache)
@@ -159,6 +184,12 @@ def test_cache_separated_by_prune_threshold(tmp_path):
     # unpruned run may not reuse pruned records
     created = int(err.split("nodes-created")[1].split()[0])
     assert created > 1
+
+
+def test_resolve_d_5_14_unpruned_size():
+    code, _, err = run_cli("resolve", "--name", "D_5_14")
+    assert code == 0
+    assert "depth 8  size 14253 " in err
 
 
 def test_enumerate_counts():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,9 +17,8 @@ from nashcones.cones import (
     localize,
     minkowski_sum_hull,
     simplicial_cone,
-    _equivalent_general,
-    _equivalent_simplicial,
 )
+from nashcones.classify import _perm_equivalent
 from nashcones.errors import NotAVertex, NotProper
 
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, presentation
@@ -265,20 +264,73 @@ def test_equivalence_relation_on_small_table():
     assert equivalent(c, x) and equivalent(x, y) and equivalent(c, y)
 
 
-def test_simplicial_test_agrees_with_general_path():
+def test_equivalent_agrees_with_permutation_test():
+    # the classifier's permutation-integrality test is an independent oracle
+    # for simplicial cones of equal index
     rng = random.Random(16)
-    names = list(DIM3_CLASSES)
-    for _ in range(40):
-        a = cone_from_facets(presentation(rng.choice(names)))
-        b = apply_unimodular(random_unimodular(rng, 3), cone_from_facets(presentation(rng.choice(names))))
-        if (len(a.rays), len(a.facets), index(a), dual_index(a)) != (
-            len(b.rays),
-            len(b.facets),
-            index(b),
-            dual_index(b),
-        ):
+    by_index = {}
+    for name, (i, _, pres, _) in DIM3_CLASSES.items():
+        by_index.setdefault(i, []).append(pres)
+    perms = list(permutations(range(3)))
+    outcomes = set()
+    for _ in range(120):
+        group = by_index[rng.choice(sorted(by_index))]
+        pa = rng.choice(group)
+        pb = pa if rng.random() < 0.5 else rng.choice(group)
+        a = apply_unimodular(random_unimodular(rng, 3), cone_from_facets(pa))
+        b = apply_unimodular(random_unimodular(rng, 3), cone_from_facets(pb))
+        want = _perm_equivalent(la.adjugate(a.facets), la.det(a.facets), b.facets, perms)
+        assert equivalent(a, b) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def _lex_independent_rows(rows, d):
+    picked = []
+    for r in rows:
+        if la.rank(picked + [r]) == len(picked) + 1:
+            picked.append(r)
+            if len(picked) == d:
+                return picked
+    raise AssertionError("rows do not span")
+
+
+def _equivalent_by_ray_bases(a, b):
+    """Oracle: some ordered d-tuple of b's rays is the image of a fixed ray
+    basis of a under a unimodular map that carries all rays of a onto all
+    rays of b."""
+    d = a.dim
+    base_cols = la.transpose(la.mat(_lex_independent_rows(list(a.rays), d)))
+    det_base = la.det(base_cols)
+    adj_base = la.adjugate(base_cols)
+    target = set(b.rays)
+    for tup in permutations(range(len(b.rays)), d):
+        t_cols = la.transpose(la.mat([b.rays[i] for i in tup]))
+        num = la.matmul(t_cols, adj_base)
+        if any(x % det_base for row in num for x in row):
             continue
-        assert _equivalent_simplicial(a.facets, b.facets) == _equivalent_general(a, b)
+        u = tuple(tuple(x // det_base for x in row) for row in num)
+        if abs(la.det(u)) == 1 and {la.mat_vec(u, r) for r in a.rays} == target:
+            return True
+    return False
+
+
+def test_canonical_key_agrees_with_ray_basis_oracle_nonsimplicial():
+    rng = random.Random(22)
+    pool = []
+    while len(pool) < 36:
+        c = random_proper_cone(rng, 3, max_rays=5)
+        if len(c.rays) in (4, 5):
+            pool.append(c)
+            pool.append(apply_unimodular(random_unimodular(rng, 3), c))
+    outcomes = set()
+    for a in pool:
+        for b in pool:
+            want = _equivalent_by_ray_bases(a, b)
+            assert (canonical_key(a) == canonical_key(b)) == want
+            assert equivalent(a, b) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_equivalent_dimension_mismatch():

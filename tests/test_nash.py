@@ -12,11 +12,11 @@ from nashcones.cones import (
     equivalent,
     index,
     is_smooth,
+    minkowski_sum_hull,
 )
 from nashcones.errors import BudgetExceeded
 from nashcones.hilbert import hilbert_basis
 from nashcones.nash import (
-    blowup_step,
     nash_blowup,
     resolution_tree,
     sum_set,
@@ -79,10 +79,11 @@ def test_blowup_smooth_fixed_point():
 
 def test_blowup_c22():
     c = cone_from_facets(presentation("C_2_2"))
-    step = blowup_step(c)
-    assert step.polyhedron.vertices == ((1, 1, 1), (1, 4, -2), (4, 1, -2))
-    assert len(step.children) == 3
-    assert all(is_smooth(k) for k in step.children)
+    p = minkowski_sum_hull(c, sum_set(hilbert_basis(c)))
+    assert p.vertices == ((1, 1, 1), (1, 4, -2), (4, 1, -2))
+    kids = nash_blowup(c)
+    assert len(kids) == 3
+    assert all(is_smooth(k) for k in kids)
 
 
 def test_blowup_c44_children_are_c21():
@@ -218,17 +219,26 @@ def test_max_nodes_budget():
     assert not tree_stats(tree).resolved
 
 
-def test_jobs_produce_identical_trees():
-    c = cone_from_facets(presentation("C_4_3"))
-    seq = resolution_tree(c, memoize=True, jobs=1)
-    par = resolution_tree(c, memoize=True, jobs=8)
-    assert tree_shape(seq.root) == tree_shape(par.root)
-    def flatten(n, acc):
-        acc.append((n.key, n.status, n.cone.facets))
-        for ch in n.children:
-            flatten(ch, acc)
-        return acc
-    assert flatten(seq.root, []) == flatten(par.root, [])
+def test_memo_history_never_changes_stats():
+    # memo entries from runs under any depth cap, in any order, give the
+    # statistics of the unmemoized tree under the current cap
+    cones = [cone_from_facets(p) for i, _, p, _ in DIM3_CLASSES.values() if i <= 6]
+    depths = (1, 2, 3, 4)
+    want = {
+        (k, m): tree_stats(resolution_tree(c, memoize=False, max_depth=m))
+        for k, c in enumerate(cones)
+        for m in depths
+    }
+    runs = list(want)
+    rng = random.Random(51)
+    sequences = [runs, runs[::-1]] + [rng.sample(runs, len(runs)) for _ in range(2)]
+    sequences += [[(k, m) for m in order for k in range(len(cones))]
+                  for order in (depths, depths[::-1])]
+    for seq in sequences:
+        memo = {}
+        for k, m in seq:
+            tr = resolution_tree(cones[k], memoize=True, max_depth=m, memo=memo)
+            assert tree_stats(tr) == want[(k, m)], (k, m)
 
 
 def test_anomaly_index_growth():
