@@ -4,6 +4,11 @@ Every simplicial cone has a presentation in Hermite normal form with
 coprime rows; enumerating those matrices for a fixed index and removing
 duplicates under row permutation + unimodular column action yields one
 representative per equivalence class.
+
+The HNF presentations of the class of ``m`` are exactly the column HNFs
+of the d! row permutations of ``m``. :func:`classify` walks the sorted
+enumeration once: a matrix not yet marked starts a new class (and is the
+lex-least member of it), and marks the rest of its orbit.
 """
 
 from __future__ import annotations
@@ -119,6 +124,12 @@ def enumerate_hnf(d, idx):
 
 
 def _perm_equivalent(adj_new, det_new, other, perms):
+    """Whether some row permutation of ``other`` equals ``new @ U``, U unimodular.
+
+    ``adj_new`` and ``det_new`` are the adjugate and determinant of ``new``;
+    both matrices must have the same index. A direct pairwise test, kept as
+    an oracle for the orbit marking in :func:`classify`.
+    """
     for perm in perms:
         m = la.matmul(adj_new, tuple(other[i] for i in perm))
         if all(x % det_new == 0 for row in m for x in row):
@@ -141,29 +152,26 @@ def classify(d, idx):
         return (ConeClass("A", 1, 1, 1, ((1,),), (), cone),)
 
     perms = list(permutations(range(d)))
-    reps = []  # (matrix, cone, istar)
-    buckets = {}
-    for m in enumerate_hnf(d, idx):
-        cone = simplicial_cone(m)
-        istar = abs(la.det(cone.rays))
-        bucket = buckets.setdefault(istar, [])
-        adj, dt = la.adjugate(m), la.det(m)
-        if any(_perm_equivalent(adj, dt, reps[k][0], perms) for k in bucket):
-            continue
-        bucket.append(len(reps))
-        reps.append((m, cone, istar))
-
-    classes = []
     letter = _letter(d)
-    for j, (m, cone, istar) in enumerate(reps, start=1):
+    classes = []
+    # HNFs in the orbit of a kept class that the walk has not reached yet;
+    # each comes up exactly once, so it is dropped when it does.
+    pending = set()
+    for m in enumerate_hnf(d, idx):
+        if m in pending:
+            pending.remove(m)
+            continue
+        pending.update(la.column_hnf(tuple(m[i] for i in perm))[0] for perm in perms)
+        pending.discard(m)
+        cone = simplicial_cone(m)
         factors = direct_sum_decompose(cone)
         if len(factors) == 1:
             reducibility = ()
         else:
             reducibility = tuple(_factor_name(f) for f in factors)
-        classes.append(
-            ConeClass(f"{letter}_{idx}_{j}", d, idx, istar, m, reducibility, cone)
-        )
+        name = f"{letter}_{idx}_{len(classes) + 1}"
+        istar = abs(la.det(cone.rays))
+        classes.append(ConeClass(name, d, idx, istar, m, reducibility, cone))
     return tuple(classes)
 
 

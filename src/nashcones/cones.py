@@ -381,4 +381,7 @@ def direct_sum_decompose(c):
         c1, c2 = split
         return factors(c1) + factors(c2)
 
-    return sorted(factors(c), key=lambda f: (-f.dim, index(f), canonical_key(f)))
+    found = factors(c)
+    if len(found) == 1:
+        return found
+    return sorted(found, key=lambda f: (-f.dim, index(f), canonical_key(f)))

@@ -10,6 +10,7 @@ canonical form.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 from .cones import cone_from_facets
@@ -253,11 +254,22 @@ def load_cache(path, prune=None) -> dict:
 
 
 def append_cache(path, tree) -> int:
-    """Append this run's new memo entries; returns the number written."""
+    """Append this run's new memo entries; returns the number written.
+
+    All records go out in one ``os.write`` on an ``O_APPEND`` descriptor, so
+    lines from concurrent appenders to the same file never interleave.
+    """
     if not tree.new_memo_keys:
         return 0
-    with open(path, "a", encoding="utf-8") as fh:
-        for key in tree.new_memo_keys:
-            rec = _record_from_entry(key, tree.memo[key], tree.prune_below_index)
-            fh.write(json.dumps(rec) + "\n")
+    data = "".join(
+        json.dumps(_record_from_entry(key, tree.memo[key], tree.prune_below_index)) + "\n"
+        for key in tree.new_memo_keys
+    ).encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+    finally:
+        os.close(fd)
+    if written != len(data):
+        raise OSError(f"short write to cache {path}: {written} of {len(data)} bytes")
     return len(tree.new_memo_keys)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -6,12 +7,20 @@ import pytest
 from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
+    _perm_equivalent,
     class_counts,
     classify,
     cone_by_name,
     enumerate_hnf,
 )
-from nashcones.cones import canonical_key, cone_from_facets, dual_index, equivalent, index
+from nashcones.cones import (
+    canonical_key,
+    cone_from_facets,
+    dual_index,
+    equivalent,
+    index,
+    simplicial_cone,
+)
 from nashcones.surface import StdCone2D, standardize_rays
 
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, T3_COUNTS, T4_COUNTS
@@ -94,9 +103,34 @@ def test_classes_pairwise_inequivalent_and_cover():
         assert sum(equivalent(c, cls.cone) for cls in table) == 1
 
 
+def test_classes_match_pairwise_permutation_oracle():
+    # the pairwise permutation test is an independent oracle for the
+    # classifier's orbit marking: every HNF matrix lies in exactly one
+    # class, each class is presented by its lex-least HNF matrix, and no
+    # two presentations are equivalent. Equivalent matrices share the dual
+    # index, so each matrix is tested against the presentations with its own.
+    for d, top in ((3, 12), (4, 6)):
+        perms = list(permutations(range(d)))
+        for i in range(1, top + 1):
+            pres = [cls.presentation for cls in classify(d, i)]
+            by_istar = {}
+            for p in pres:
+                by_istar.setdefault(dual_index(simplicial_cone(p)), []).append(p)
+            least = {}
+            for m in enumerate_hnf(d, i):
+                adj, dt = la.adjugate(m), la.det(m)
+                bucket = by_istar.get(dual_index(simplicial_cone(m)), [])
+                hits = [p for p in bucket if _perm_equivalent(adj, dt, p, perms)]
+                assert len(hits) == 1, (d, i, m)
+                least[hits[0]] = min(least.get(hits[0], m), m)
+            assert all(least[p] == p for p in pres), (d, i)
+            for a, b in combinations(pres, 2):
+                assert not _perm_equivalent(la.adjugate(a), la.det(a), b, perms), (a, b)
+
+
 def test_class_keys_pairwise_distinct():
-    # the classifier deduplicates with its own permutation test; the
-    # canonical keys of its classes must all differ
+    # classify never computes canonical keys; those of its classes must
+    # still all differ
     for i in range(1, 13):
         keys = {canonical_key(cls.cone) for cls in classify(3, i)}
         assert len(keys) == len(classify(3, i)), i
@@ -176,3 +210,14 @@ def test_reducibility_labels():
     assert by_name["D_4_15"].reducibility_label == "2 B_{2,1}"
     assert by_name["D_2_2"].reducibility_label == "C_{2,2} ⊕ A"
     assert by_name["D_2_3"].reducibility_label == ""
+
+
+def test_reducibility_keeps_factor_order():
+    # factors are listed by decreasing dimension, then index
+    by_name = {cls.name: cls for d, i in ((3, 2), (4, 2), (4, 4)) for cls in classify(d, i)}
+    assert by_name["C_2_1"].reducibility == ("B_2_1", "A")
+    assert by_name["C_2_1"].reducibility_label == "B_{2,1} ⊕ A"
+    assert by_name["D_2_2"].reducibility == ("C_2_2", "A")
+    assert by_name["D_2_2"].reducibility_label == "C_{2,2} ⊕ A"
+    assert by_name["D_4_15"].reducibility == ("B_2_1", "B_2_1")
+    assert by_name["D_4_15"].reducibility_label == "2 B_{2,1}"

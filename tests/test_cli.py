@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,43 @@ def test_resolve_cache_replay(tmp_path):
     assert len(open(cache).read().splitlines()) == n_lines  # nothing re-appended
 
 
+def test_append_cache_bytes_and_single_write(tmp_path, monkeypatch):
+    trees = [
+        resolution_tree(cone_from_facets(presentation("C_3_3")), memoize=True),
+        resolution_tree(
+            cone_from_facets(presentation("C_5_4")), memoize=True, prune_below_index=5
+        ),
+    ]
+    writes = []
+    real_write = os.write
+
+    def recording_write(fd, data):
+        writes.append(data)
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", recording_write)
+    cache = tmp_path / "cache.jsonl"
+    for tree in trees:
+        assert serialize.append_cache(str(cache), tree) == 2
+    # every run's records go out in one write
+    assert [data.count(b"\n") for data in writes] == [2, 2]
+    data = cache.read_bytes()
+    assert b"".join(writes) == data
+    # same bytes as a line-by-line text-mode writer
+    ref = tmp_path / "ref.jsonl"
+    with open(ref, "a", encoding="utf-8") as fh:
+        for tree in trees:
+            for key in tree.new_memo_keys:
+                rec = serialize._record_from_entry(key, tree.memo[key], tree.prune_below_index)
+                fh.write(json.dumps(rec) + "\n")
+    assert ref.read_bytes() == data
+    # pinned record format and key bytes
+    assert len(data) == 2915
+    assert hashlib.sha256(data).hexdigest() == (
+        "b79e5ddbaa47af2514591f96d6b60b9772cd468c6f0412b7f6015642cb180dfa"
+    )
+
+
 def test_depth_capped_run_does_not_poison_cache(tmp_path):
     cache = str(tmp_path / "cache.jsonl")
     args = ("resolve", "--facets", "1 0 0; 1 3 0; 1 0 3", "--cache", cache)
@@ -237,3 +275,15 @@ def test_text_output_deterministic_across_runs():
     _, out1, _ = run_cli(*args)
     _, out2, _ = run_cli(*args)
     assert out1 == out2
+
+
+def test_enumerate_table_golden_digests():
+    # full T_3 and T_4 listings: names, invariants, presentations, labels
+    for dim, top, lines, digest in (
+        ("3", "27", 1602, "4274da56d3a69df5c3a57aff4faf54fefc85274adba038e11689209e564a4e19"),
+        ("4", "8", 201, "3d3dc54b9624f367184f0587e0b083a54378db951950ff1c67debb312a09a366"),
+    ):
+        code, out, _ = run_cli("enumerate", "--dim", dim, "--index-max", top, "--table")
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, dim

@@ -408,6 +408,23 @@ def test_decompose_examples():
     assert [(f.dim, index(f)) for f in factors] == [(2, 2), (2, 2)]
 
 
+def test_decompose_irreducible_returns_cone_without_key():
+    # an irreducible cone comes back as itself, with no canonical key computed
+    for name in ("C_2_2", "C_4_4", "D_2_3"):
+        c = simplicial_cone(presentation(name))
+        factors = direct_sum_decompose(c)
+        assert factors == [c] and factors[0] is c, name
+        assert c._key is None, name
+
+
+def test_decompose_reducible_factor_order():
+    # decreasing dimension, then index
+    for name, want in (("C_2_1", [(2, 2), (1, 1)]), ("D_2_2", [(3, 2), (1, 1)]),
+                       ("D_4_15", [(2, 2), (2, 2)])):
+        factors = direct_sum_decompose(simplicial_cone(presentation(name)))
+        assert [(f.dim, index(f)) for f in factors] == want, name
+
+
 def test_index_multiplicative_over_direct_sums():
     for table in (DIM3_CLASSES, DIM4_CLASSES):
         for name, (i, istar, pres, red) in table.items():
