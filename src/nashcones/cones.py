@@ -322,24 +322,6 @@ def canonical_key(c) -> bytes:
 # sums
 
 
-def _saturation_basis(rows):
-    """Basis rows of Z^d intersected with the rational span of the rows."""
-    return la.kernel_basis(la.kernel_basis(rows))
-
-
-def _coords_in_basis(r, basis):
-    gram = la.matmul(basis, la.transpose(basis))
-    det_g = la.det(gram)
-    y = la.mat_vec(basis, r)
-    num = la.vec_mat(y, la.adjugate(gram))
-    if any(x % det_g for x in num):
-        raise AssertionError("point not in the lattice spanned by the basis")
-    x = tuple(v // det_g for v in num)
-    if la.vec_mat(x, basis) != tuple(r):
-        raise AssertionError("coordinate solve failed")
-    return x
-
-
 def _split_once(c):
     d = c.dim
     rays = c.rays
@@ -352,16 +334,18 @@ def _split_once(c):
             part1 = [rays[0]] + [rays[i] for i in extra]
             chosen = {0, *extra}
             part2 = [rays[i] for i in rest if i not in chosen]
-            r1 = la.rank(part1)
-            r2 = la.rank(part2)
-            if r1 + r2 != d or r1 == d or r2 == d:
+            # k1, k2: saturated bases of the annihilators of the two spans.
+            # Z^d splits along the spans iff the projection onto span(part1)
+            # along span(part2) is integral, iff its transpose (Z^d* onto
+            # span(k2) along span(k1)) is, iff k2 + k1 is a basis of Z^d*:
+            # d rows with |det| 1. Then k2 . r are the coordinates of r in
+            # a lattice basis of span(part1), and k1 . r likewise for part2.
+            k1 = la.kernel_basis(part1)
+            k2 = la.kernel_basis(part2)
+            if len(k1) + len(k2) != d or abs(la.det(k2 + k1)) != 1:
                 continue
-            l1 = _saturation_basis(part1)
-            l2 = _saturation_basis(part2)
-            if abs(la.det(la.mat(list(l1) + list(l2)))) != 1:
-                continue
-            c1 = cone_from_rays([_coords_in_basis(r, l1) for r in part1])
-            c2 = cone_from_rays([_coords_in_basis(r, l2) for r in part2])
+            c1 = cone_from_rays([la.mat_vec(k2, r) for r in part1])
+            c2 = cone_from_rays([la.mat_vec(k1, r) for r in part2])
             return c1, c2
     return None
 

@@ -1,7 +1,7 @@
 """Hilbert bases of proper cones.
 
 Candidates come from the fundamental parallelepipeds of a placing
-triangulation (enumerated through the Smith normal form of each ray
+triangulation (enumerated through the Hermite normal form of each ray
 matrix); a single global reduction pass keeps exactly the indecomposable
 elements.
 """
@@ -9,9 +9,10 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import intlinalg as la
-from .cones import cone_from_rays, _dual_extreme_rays
+from .cones import Cone, cone_from_rays, _dual_extreme_rays
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,10 @@ def triangulate(c):
 def parallelepiped_points(c):
     """All lattice points of {sum of t_i * ray_i : 0 <= t_i < 1}.
 
-    One representative per coset of the ray lattice in Z^d, found via the
-    Smith normal form of the ray matrix and folded into the half-open
-    parallelepiped; the count equals |det| of the ray matrix.
+    The row HNF of the ray matrix is upper triangular, so the box
+    0 <= x_i < h[i][i] holds one representative of each coset of the ray
+    lattice in Z^d; each is folded into the half-open parallelepiped. The
+    count equals |det| of the ray matrix.
     """
     g = la.mat(c.rays)
     d = c.dim
@@ -76,18 +78,10 @@ def parallelepiped_points(c):
         raise ValueError("parallelepiped_points needs a simplicial cone")
     det_g = la.det(g)
     adj_g = la.adjugate(g)
-    s, _, v = la.snf(g)
-    v_inv = la.unimodular_inverse(v)
-    diag = [s[i][i] for i in range(d)]
+    h, _ = la.row_hnf(g)
 
     points = []
-    reps = [(0,) * d]
-    for i, si in enumerate(diag):
-        if si == 1:
-            continue
-        reps = [w[:i] + (k,) + w[i + 1 :] for w in reps for k in range(si)]
-    for w in reps:
-        x = la.vec_mat(w, v_inv)
+    for x in product(*(range(h[i][i]) for i in range(d))):
         # fold x into the parallelepiped: x - floor(coords) . g
         num = la.vec_mat(x, adj_g)  # coords * det_g
         floors = tuple(n // det_g for n in num)

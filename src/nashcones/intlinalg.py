@@ -225,11 +225,9 @@ def column_hnf(m):
     diagonal and each off-diagonal entry reduced into [0, diagonal), so the
     diagonal entry is the unique greatest entry of its row.
     """
-    n = len(m)
-    d = len(m[0]) if n else 0
-    if rank(m) < d:
-        raise RankDeficient("column HNF requires full column rank")
     ht, ut = row_hnf(transpose(m))
+    if any(not any(row) for row in ht):
+        raise RankDeficient("column HNF requires full column rank")
     return transpose(ht), transpose(ut)
 
 
@@ -339,7 +337,12 @@ def snf(m):
 
 
 def kernel_basis(m):
-    """Basis rows of the integer kernel {x in Z^d : m @ x == 0}."""
+    """Basis rows of the integer kernel {x in Z^d : m @ x == 0}.
+
+    The basis is saturated (its rows are columns of the unimodular Smith
+    transform): every integer vector of the rational kernel is an integer
+    combination of it. Direct-sum splitting in ``cones`` relies on this.
+    """
     n = len(m)
     d = len(m[0]) if n else 0
     if n == 0:
@@ -348,13 +351,3 @@ def kernel_basis(m):
     free = [j for j in range(d) if j >= n or s[j][j] == 0]
     return tuple(tuple(v[i][j] for i in range(d)) for j in free)
 
-
-def unimodular_inverse(u):
-    """Inverse of a matrix with determinant +-1, exactly over Z."""
-    dt = det(u)
-    if dt not in (1, -1):
-        raise Singular("matrix is not unimodular")
-    adj = adjugate(u)
-    if dt == 1:
-        return adj
-    return tuple(tuple(-x for x in row) for row in adj)

@@ -449,6 +449,40 @@ def test_decompose_invariant_under_unimodular_maps():
         assert [(f.dim, index(f), dual_index(f)) for f in factors] == [(2, 2, 2), (2, 2, 2)]
 
 
+# The square cone over (+-1, 0), (0, +-1) at height 1: non-simplicial,
+# 3-D, index 4, dual index 2.
+SQUARE = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+
+
+def test_decompose_nonsimplicial_factor():
+    c = cone_from_rays([r + (0,) for r in SQUARE] + [(0, 0, 0, 1)])
+    factors = direct_sum_decompose(c)
+    assert [(f.dim, len(f.rays), index(f)) for f in factors] == [(3, 4, 4), (1, 1, 1)]
+    assert equivalent(factors[0], cone_from_rays(SQUARE))
+
+
+def test_decompose_rational_split_is_not_a_lattice_split():
+    # span(square) + span((1,1,1,2)) is all of Q^4, but the two sublattices
+    # generate a subgroup of index 2, so the cone stays irreducible
+    c = cone_from_rays([r + (0,) for r in SQUARE] + [(1, 1, 1, 2)])
+    assert direct_sum_decompose(c) == [c]
+
+
+def test_decompose_nonsimplicial_invariant_under_unimodular_maps():
+    c = cone_from_rays([r + (0, 0) for r in SQUARE] + [(0, 0, 0, 1, 0), (0, 0, 0, 1, 2)])
+
+    def summary(cone):
+        factors = direct_sum_decompose(cone)
+        shape = [(f.dim, len(f.rays), index(f), dual_index(f)) for f in factors]
+        return shape, [canonical_key(f) for f in factors]
+
+    shape, keys = summary(c)
+    assert shape == [(3, 4, 4, 2), (2, 2, 2, 2)]
+    rng = random.Random(22)
+    for _ in range(5):
+        assert summary(apply_unimodular(random_unimodular(rng, 5), c)) == (shape, keys)
+
+
 # ---------------------------------------------------------------- misc
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
@@ -246,6 +246,11 @@ def test_row_hnf_random_properties():
         h2, _ = la.row_hnf(la.mat(list(h) + list(m)))
         h3, _ = la.row_hnf(h)
         assert [r for r in h2 if any(r)] == [r for r in h3 if any(r)]
+        if n == d and la.det(m) != 0:
+            # square nonsingular: upper triangular, |det| on the diagonal
+            assert all(h[i][j] == 0 for i in range(n) for j in range(i))
+            assert all(h[i][i] > 0 for i in range(n))
+            assert prod(h[i][i] for i in range(n)) == abs(la.det(m))
 
 
 # ---------------------------------------------------------------- index
@@ -336,12 +341,6 @@ def test_kernel_basis():
             assert la.mat_vec(m, b) == tuple([0] * n)
         if basis:
             assert la.rank(basis) == len(basis)
-
-
-@settings(max_examples=60)
-@given(st.integers(2, 4), st.integers(0, 10**9))
-def test_unimodular_inverse(d, seed):
-    rng = random.Random(seed)
-    u = random_unimodular(rng, d)
-    inv = la.unimodular_inverse(u)
-    assert la.matmul(u, inv) == la.identity(d)
+            # saturated: every invariant factor of the basis matrix is 1
+            s, _, _ = la.snf(basis)
+            assert all(s[i][i] == 1 for i in range(len(basis)))

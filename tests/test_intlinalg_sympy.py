@@ -1,0 +1,65 @@
+"""Cross-checks of the exact integer kernel against sympy (test-only).
+
+The runtime stays stdlib-only; this module is skipped where sympy is not
+installed.
+"""
+
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nashcones import intlinalg as la
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+
+@st.composite
+def matrices(draw, max_rows=5, square=False):
+    n = draw(st.integers(1, max_rows))
+    d = n if square else draw(st.integers(1, 5))
+    entries = st.integers(-9, 9)
+    return tuple(tuple(draw(entries) for _ in range(d)) for _ in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_sympy(m):
+    assert la.det(m) == sympy.Matrix(m).det()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_matches_sympy(m):
+    assert la.rank(m) == sympy.Matrix(m).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_snf_diagonal_matches_invariant_factors(m):
+    s, _, _ = la.snf(m)
+    diag = [s[i][i] for i in range(min(len(m), len(m[0])))]
+    assert diag == [int(x) for x in invariant_factors(sympy.Matrix(m))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_rows=4))
+def test_kernel_basis_spans_sympy_nullspace(m):
+    basis = la.kernel_basis(m)
+    nullspace = sympy.Matrix(m).nullspace()
+    assert len(basis) == len(nullspace)
+    if not basis:
+        return
+    bt = sympy.Matrix(basis).T
+    for v in nullspace:
+        # scale the rational nullspace vector to a primitive integer vector
+        den = lcm(*(int(x.q) for x in v))
+        w = [int(x * den) for x in v]
+        g = gcd(*w)
+        w = sympy.Matrix([x // g for x in w])
+        # it must be an integer combination of the (independent) basis rows
+        coeffs, params = bt.gauss_jordan_solve(w)
+        assert params.shape[0] == 0
+        assert all(c.is_integer for c in coeffs)
