@@ -37,6 +37,7 @@ from .surface import (
     hilbert_basis_2d,
     hj_eval,
     hj_expand,
+    hj_tails,
     nash_blowup_2d,
     resolve_2d,
     standard_form_2d,
@@ -70,6 +71,7 @@ __all__ = [
     "hilbert_basis_2d",
     "hj_eval",
     "hj_expand",
+    "hj_tails",
     "index",
     "is_smooth",
     "localize",

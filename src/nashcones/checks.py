@@ -27,8 +27,8 @@ from .nash import nash_blowup
 from .surface import (
     StdCone2D,
     hilbert_basis_2d,
-    hj_eval,
     hj_expand,
+    hj_tails,
     nash_blowup_2d,
     resolve_2d,
     standard_form_2d,
@@ -73,19 +73,23 @@ def check_convergent_identities(q_max=200):
 
 def check_subword_denominators(q_max=100):
     """Denominator of the (i..j] subword equals p_i q_j - p_j q_i, and
-    interior subwords have strictly smaller denominator than the whole."""
+    interior subwords have strictly smaller denominator than the whole.
+
+    One hj_tails pass over a[:j] per right end j yields every subword
+    a[i:j], i = j-1 down to 0, as a coprime pair, so the sweep costs
+    O(k^2) steps per expansion.
+    """
     for p, q in standard_pairs(q_max):
         exp = hj_expand(Fraction(p, q))
         a = exp.terms
         v = exp.convergents
         k = len(a)
-        for i in range(k):
-            for j in range(i + 1, k + 1):
-                value = hj_eval(a[i:j])
+        for j in range(1, k + 1):
+            for i, (_, m) in zip(range(j - 1, -1, -1), hj_tails(a[:j])):
                 expected = v[i][0] * v[j][1] - v[j][0] * v[i][1]
-                if value.denominator != expected:
+                if abs(m) != expected:
                     return False
-                if i >= 1 and (i, j) != (0, k) and j < k and value.denominator >= q:
+                if i >= 1 and j < k and abs(m) >= q:
                     return False
     return True
 

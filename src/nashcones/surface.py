@@ -39,21 +39,37 @@ class StdCone2D(NamedTuple):
         return self.q == 1
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def hj_tails(terms):
+    """Yield the tails a_i - 1/(... - 1/a_k) for i = k down to 1.
 
-
-def hj_eval(terms) -> Fraction:
-    """Value of a_1 - 1/(a_2 - 1/(... - 1/a_k)), in lowest terms."""
+    Each tail is an integer pair (n, m) with value n/m: the first is
+    (a_k, 1) and each step maps (n, m) to (a_i*n - m, n). The pairs are
+    coprime without any gcd, since gcd(a*n - m, n) = gcd(m, n) and the
+    first pair is coprime; m may be negative. Raises ZeroDenominator when
+    a tail that still has to be inverted is 0.
+    """
     terms = list(terms)
     if not terms:
         raise ValueError("empty continued fraction")
-    t = Fraction(terms[-1])
+    n, m = terms[-1], 1
+    yield n, m
     for a in reversed(terms[:-1]):
-        if t == 0:
+        if n == 0:
             raise ZeroDenominator("intermediate tail evaluates to 0")
-        t = a - Fraction(1) / t
-    return t
+        n, m = a * n - m, n
+        yield n, m
+
+
+def hj_eval(terms) -> Fraction:
+    """Value of a_1 - 1/(a_2 - 1/(... - 1/a_k)), in lowest terms.
+
+    The value is the last pair of hj_tails, already coprime, so no
+    Fraction is built along the way. It does not use the convergent
+    recurrence, which the subword check compares it against.
+    """
+    for n, m in hj_tails(terms):
+        pass
+    return Fraction(n, m)
 
 
 def _convergents(terms):
@@ -68,20 +84,22 @@ def _convergents(terms):
 def hj_expand(x) -> HJExpansion:
     """The unique expansion of a rational with a_i > 1 past the first term.
 
-    Round up, subtract, invert; terminates because the denominators of the
-    remainders strictly decrease.
+    Round up, subtract, invert, as a Euclid step on the pair x = p/q:
+    a = ceil(p/q), and the remainder (a*q - p)/q inverts to q/(a*q - p).
+    Terminates because the denominators of the remainders strictly
+    decrease.
     """
     x = Fraction(x)
+    p, q = x.numerator, x.denominator
     terms = []
     while True:
-        a = _ceil(x)
+        a = -((-p) // q)
         terms.append(a)
-        rem = a - x
+        rem = a * q - p
         if rem == 0:
             break
-        x = 1 / rem
-    exp = HJExpansion(tuple(terms), _convergents(terms))
-    return exp
+        p, q = q, rem
+    return HJExpansion(tuple(terms), _convergents(terms))
 
 
 def _ext_gcd(a, b):
@@ -142,17 +160,12 @@ def hilbert_basis_2d(s) -> tuple:
     return exp.convergents
 
 
-def consecutive_sums(s) -> tuple:
-    """The boundary generators v_i + v_{i+1} of the blow-up polyhedron."""
-    v = hilbert_basis_2d(s)
+def _consecutive_sums(v):
     return tuple(la.vadd(v[i], v[i + 1]) for i in range(len(v) - 1))
 
 
-def blowup_vertices_2d(s) -> tuple:
-    """Vertices of the blow-up polyhedron: consecutive sums minus the
-    collinear ones."""
-    v = hilbert_basis_2d(s)
-    sums = consecutive_sums(s)
+def _blowup_vertices(v):
+    sums = _consecutive_sums(v)
     v0, vk = v[0], v[-1]
     kept = []
     for j, w in enumerate(sums):
@@ -161,6 +174,17 @@ def blowup_vertices_2d(s) -> tuple:
         if _cross(d_in, d_out) != 0:
             kept.append(w)
     return tuple(kept)
+
+
+def consecutive_sums(s) -> tuple:
+    """The boundary generators v_i + v_{i+1} of the blow-up polyhedron."""
+    return _consecutive_sums(hilbert_basis_2d(s))
+
+
+def blowup_vertices_2d(s) -> tuple:
+    """Vertices of the blow-up polyhedron: consecutive sums minus the
+    collinear ones."""
+    return _blowup_vertices(hilbert_basis_2d(s))
 
 
 def nash_blowup_2d(s):
@@ -173,7 +197,7 @@ def nash_blowup_2d(s):
         raise ValueError("cone is smooth; nothing to blow up")
     v = hilbert_basis_2d(s)
     v0, vk = v[0], v[-1]
-    verts = blowup_vertices_2d(s)
+    verts = _blowup_vertices(v)
     children = []
     for j, w in enumerate(verts):
         toward_prev = v0 if j == 0 else la.vsub(verts[j - 1], w)

@@ -7,20 +7,20 @@ installed.
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
 
 sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
 
 @st.composite
-def matrices(draw, max_rows=5, square=False):
+def matrices(draw, max_rows=5, square=False, max_cols=5, bound=9):
     n = draw(st.integers(1, max_rows))
-    d = n if square else draw(st.integers(1, 5))
-    entries = st.integers(-9, 9)
+    d = n if square else draw(st.integers(1, max_cols))
+    entries = st.integers(-bound, bound)
     return tuple(tuple(draw(entries) for _ in range(d)) for _ in range(n))
 
 
@@ -63,3 +63,16 @@ def test_kernel_basis_spans_sympy_nullspace(m):
         coeffs, params = bt.gauss_jordan_solve(w)
         assert params.shape[0] == 0
         assert all(c.is_integer for c in coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_rows=4, max_cols=4, bound=6))
+def test_row_hnf_matches_sympy_hermite_form(m):
+    # sympy's hermite_normal_form places its pivots from the last column
+    # backwards; on full-rank input, row_hnf of the column-reversed matrix,
+    # read back with columns and rows reversed, is the same matrix.
+    assume(la.rank(m) == min(len(m), len(m[0])))
+    h, _ = la.row_hnf(tuple(row[::-1] for row in m))
+    rows = [row[::-1] for row in h if any(row)]
+    expected = hermite_normal_form(sympy.Matrix(m).T).T
+    assert sympy.Matrix(rows[::-1]) == expected

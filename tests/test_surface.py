@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashcones import checks
@@ -15,6 +15,7 @@ from nashcones.surface import (
     hilbert_basis_2d,
     hj_eval,
     hj_expand,
+    hj_tails,
     nash_blowup_2d,
     resolve_2d,
     standard_form_2d,
@@ -73,6 +74,98 @@ def test_convergent_recursion_and_determinant():
             assert v[-1] == (p, q)
             for i in range(1, len(v)):
                 assert v[i - 1][0] * v[i][1] - v[i][0] * v[i - 1][1] == 1
+
+
+# ---------------------------------------------------------------- integer
+# kernel against the Fraction loops it replaced (test-only references)
+
+
+def _ref_eval(terms):
+    terms = list(terms)
+    if not terms:
+        raise ValueError("empty continued fraction")
+    t = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        if t == 0:
+            raise ZeroDenominator("intermediate tail evaluates to 0")
+        t = a - Fraction(1) / t
+    return t
+
+
+def _ref_expand(x):
+    x = Fraction(x)
+    terms = []
+    while True:
+        a = -((-x.numerator) // x.denominator)
+        terms.append(a)
+        rem = a - x
+        if rem == 0:
+            break
+        x = 1 / rem
+    ps, qs = [0, 1], [0]
+    for i, a in enumerate(terms, start=1):
+        ps.append(a * ps[-1] - ps[-2])
+        qs.append(1 if i == 1 else a * qs[-1] - qs[-2])
+    return tuple(terms), tuple(zip(ps[1:], qs))
+
+
+def _outcome(f, terms):
+    try:
+        return f(terms)
+    except ZeroDenominator:
+        return ZeroDenominator
+
+
+_hj_terms = st.lists(st.integers(-20, 20), min_size=1, max_size=8)
+
+
+@settings(max_examples=200)
+@given(_hj_terms)
+@example([3, 1, 1])
+@example([0, 2, 1, 1])
+def test_eval_matches_fraction_reference(terms):
+    assert _outcome(hj_eval, terms) == _outcome(_ref_eval, terms)
+
+
+def test_eval_empty_rejected():
+    with pytest.raises(ValueError):
+        hj_eval([])
+
+
+@settings(max_examples=200)
+@given(_hj_terms)
+@example([3, 1, 1])
+def test_tails_are_coprime_and_end_at_eval(terms):
+    pairs = []
+    try:
+        for pair in hj_tails(terms):
+            pairs.append(pair)
+    except ZeroDenominator:
+        assert _outcome(hj_eval, terms) is ZeroDenominator
+    for idx, (n, m) in enumerate(pairs):
+        assert gcd(n, m) == 1
+        assert Fraction(n, m) == _ref_eval(terms[len(terms) - 1 - idx :])
+    if len(pairs) == len(terms):
+        assert Fraction(*pairs[-1]) == hj_eval(terms)
+
+
+@settings(max_examples=200)
+@given(st.integers(-50, 50), st.integers(1, 60))
+def test_expand_matches_fraction_reference(n, d):
+    exp = hj_expand(Fraction(n, d))
+    assert (exp.terms, exp.convergents) == _ref_expand(Fraction(n, d))
+
+
+def test_subword_sweep_detects_wrong_evaluator(monkeypatch):
+    assert checks.check_subword_denominators(12)
+
+    def off_by_one(terms):
+        terms = list(terms)
+        terms[-1] += 1
+        return hj_tails(terms)
+
+    monkeypatch.setattr(checks, "hj_tails", off_by_one)
+    assert not checks.check_subword_denominators(12)
 
 
 # ---------------------------------------------------------------- standard
