@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see per-criterion
 output and timings. Every tolerance is exact.
 """
 
+import hashlib
 import io
 import time
 from collections import Counter
@@ -28,6 +29,7 @@ from nashcones.nash import (
     tree_stats,
     unique_cone_count,
 )
+from nashcones.serialize import render_dot, render_json, render_text
 from nashcones.surface import StdCone2D, hilbert_basis_2d
 
 from tabledata import (
@@ -219,14 +221,32 @@ def test_criterion_7_figure_data():
 # ------------------------------------------------------------------ 8
 
 
+# SHA-256 over the rendered trees of criterion 8, in resolution order, taken
+# before the double description kept incidence bitsets; never regenerate.
+BULK_DIGESTS = {
+    "text": "78a6dcccef37f1161dd12cba31402520a89192a17985d8d9f785650df9ca9bf8",
+    "json": "ea5a6cb1f210e654e9a82f31ebac829a3d41b27a81f1f8be69cba9798359121f",
+    "dot": "980f9cad0a930e176126e6918f87906e86cc1321261648c3d0d6e4954b07ef2b",
+}
+
+
 def test_criterion_8_bulk_resolution():
     t0 = time.time()
     ok = True
     memos = {}
+    renders = (("text", render_text), ("json", render_json), ("dot", render_dot))
+    hashes = {fmt: hashlib.sha256() for fmt, _ in renders}
+    trees = 0
+
+    def digest(tr):
+        for fmt, render in renders:
+            hashes[fmt].update(render(tr).encode("utf-8"))
     for i in range(1, 11):
         for cls in classify(3, i):
             memo = memos.setdefault((3, i), {})
             tr = resolution_tree(cls.cone, prune_below_index=i, memoize=True, memo=memo)
+            digest(tr)
+            trees += 1
             st = tree_stats(tr)
             if not st.resolved:
                 ok = False
@@ -241,6 +261,8 @@ def test_criterion_8_bulk_resolution():
             tr = resolution_tree(
                 cls.cone, prune_below_index=i, memoize=True, memo=memo, max_nodes=100_000
             )
+            digest(tr)
+            trees += 1
             st = tree_stats(tr)
             if not st.resolved:
                 ok = False
@@ -256,6 +278,10 @@ def test_criterion_8_bulk_resolution():
         f"{st.size}, {unique} distinct classes (unpruned size is 14253)"
     )
     ok = ok and st.depth == 8 and st.size == 14149
+    got = {fmt: h.hexdigest() for fmt, h in hashes.items()}
+    if trees != 161 or got != BULK_DIGESTS:
+        ok = False
+        print(f"  {trees} trees, output digests {got}")
     report(8, ok, f"dim 3 idx<=10 in {d3_time:.1f}s; dim 4 idx<=5 in {d4_time:.1f}s")
 
 

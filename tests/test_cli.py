@@ -4,7 +4,10 @@ import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from nashcones import serialize
+from nashcones.classify import classify
 from nashcones.cli import main
 from nashcones.cones import canonical_key, cone_from_facets
 from nashcones.nash import resolution_tree
@@ -51,6 +54,24 @@ def test_hilbert_improper_exit_2():
     code, _, err = run_cli("hilbert", "--rays", "1 0; -1 0")
     assert code == 2
     assert "NotProper" in err
+
+
+@pytest.mark.parametrize(
+    "flag, rows, message",
+    [
+        ("--rays", "1 0 0; 0 1 0", "NotProper: rays do not span the ambient space"),
+        ("--rays", "1 0; -1 0; 0 1", "NotProper: cone contains a line"),
+        ("--facets", "1 0 0; 0 1 0", "NotProper: cone contains a line"),
+        ("--facets", "1 0; -1 0; 0 1", "NotProper: cone is not full-dimensional"),
+        ("--rays", "1 0; 0 1 1", "ValueError: rays have mixed dimensions"),
+        ("--facets", "1 0; 0 1 1", "ValueError: facets have mixed dimensions"),
+    ],
+)
+def test_improper_input_messages(flag, rows, message):
+    code, out, err = run_cli("hilbert", flag, rows)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_malformed_input_exit_2():
@@ -287,3 +308,31 @@ def test_enumerate_table_golden_digests():
         assert code == 0
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, dim
+
+
+# SHA-256 over `resolve --name N --format F` stdout for every dim-3 class of
+# index <= 6 in table order, with and without --no-memo. Taken before the
+# double description kept incidence bitsets; never regenerate.
+RESOLVE_DIGESTS = {
+    ("text", False): "b4836767e7b8cc4b103cf9baca4c7a4d300d3cb2856f3c30d09eff80a57e01eb",
+    ("json", False): "e66e51947e203cc97958220729d9cccf0ea010ae1ec8a3c10408b5934868606a",
+    ("dot", False): "08284f08db5aed0f15a86e0b8449bcc599009a45dc16ea7c944a67cd40533b12",
+    ("text", True): "28e72061f0ae4052e8456eb1836b70fdca1e19e9822de1eba7c37bbf1c52d173",
+    ("json", True): "ae2129faa37a5941e86e3941c03e74be5a7640848d5d2d5333d01240152da9ce",
+    ("dot", True): "9f2f581f13483d482d026094ab0cc82c82f1680c61e27b096a64d5bb3e3ff799",
+}
+
+
+def test_resolve_output_golden_digests():
+    names = [cls.name for i in range(1, 7) for cls in classify(3, i)]
+    assert len(names) == 33
+    got = {}
+    for fmt, no_memo in RESOLVE_DIGESTS:
+        h = hashlib.sha256()
+        for name in names:
+            args = ("resolve", "--name", name, "--format", fmt) + (("--no-memo",) if no_memo else ())
+            code, out, _ = run_cli(*args)
+            assert code == 0, args
+            h.update(out.encode("utf-8"))
+        got[(fmt, no_memo)] = h.hexdigest()
+    assert got == RESOLVE_DIGESTS

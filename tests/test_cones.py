@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -88,14 +89,21 @@ def test_cone_from_facets_drops_redundant():
 
 
 def test_improper_inputs_rejected():
-    with pytest.raises(NotProper):
-        cone_from_rays([(1, 0), (-1, 0)])
-    with pytest.raises(NotProper):
-        cone_from_rays([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    with pytest.raises(NotProper):
-        cone_from_rays([(1, 0, 0), (0, 1, 0)])  # not full-dimensional
-    with pytest.raises(NotProper):
-        cone_from_facets([(1, 0, 0), (0, 1, 0)])  # contains a line
+    def rejects(build, gens, message):
+        with pytest.raises(NotProper, match=f"^{re.escape(message)}$"):
+            build(gens)
+
+    rejects(cone_from_rays, [], "a proper cone needs at least one ray")
+    rejects(cone_from_facets, [], "a proper cone needs at least one facet")
+    rejects(cone_from_rays, [(1, 0), (-1, 0)], "rays do not span the ambient space")
+    rejects(cone_from_rays, [(1, 0), (-1, 0), (0, 1), (0, -1)], "cone contains a line")
+    rejects(cone_from_rays, [(1, 0, 0), (0, 1, 0)], "rays do not span the ambient space")
+    rejects(cone_from_facets, [(1, 0, 0), (0, 1, 0)], "cone contains a line")
+    rejects(cone_from_facets, [(1, 0), (-1, 0), (0, 1), (0, -1)], "cone is not full-dimensional")
+    with pytest.raises(ValueError, match="^rays have mixed dimensions$"):
+        cone_from_rays([(1, 0), (0, 1, 1)])
+    with pytest.raises(ValueError, match="^facets have mixed dimensions$"):
+        cone_from_facets([(1, 0), (0, 1, 1)])
 
 
 def test_dual_swaps_rays_and_facets():
