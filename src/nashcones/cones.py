@@ -3,7 +3,10 @@ sums with a recession cone, localization at vertices, lattice indices,
 unimodular equivalence, and direct-sum decomposition.
 
 A cone is always kept in dual form: primitive extreme rays plus primitive
-inward facet normals, both sorted. Every operation is exact and pure.
+inward facet normals, both sorted. Both constructors, and the hull of a
+Minkowski sum, run one double description pass that carries each dual
+ray's incidence as an int bitset, so redundancy is read off that pass and
+never recomputed. Every operation is exact and pure.
 """
 
 from __future__ import annotations
@@ -68,12 +71,17 @@ class Polyhedron:
 
 
 def _dual_extreme_rays(gens, d):
-    """Extreme rays of {u : g . u >= 0 for all g in gens}.
+    """Extreme rays of {u : g . u >= 0 for all g in gens}, with incidence.
 
-    Incremental double description: seed with d linearly independent
-    generators (whose dual is simplicial), then cut by the remaining ones in
-    input order. Adjacency of two rays is decided by the rank of their
-    common tight set. Requires rank(gens) == d so the dual cone is pointed.
+    Returns sorted pairs (ray, tight): bit k of the int ``tight`` is set iff
+    gens[k] . ray == 0. One incremental double description pass: seed with
+    d linearly independent generators (a simplicial dual, each seed ray
+    tight on the other d - 1), then cut by the rest in input order. A ray
+    the cut leaves at zero gains its bit; a ray w combined from adjacent
+    rp, rn is tight on exactly their common set plus the cut, since each
+    earlier g . w = sp (g . rn) - sn (g . rp) sums two nonnegative terms.
+    Two rays are adjacent iff no third ray is tight on all of their common
+    set (Fukuda-Prodon 1996). Requires rank(gens) == d (a pointed dual).
     """
     basis_rows = []
     basis_idx = []
@@ -90,54 +98,63 @@ def _dual_extreme_rays(gens, d):
     det_b = la.det(b_mat)
     adj_b = la.adjugate(b_mat)
     sign = 1 if det_b > 0 else -1
-    rays = [la.primitive(tuple(sign * adj_b[r][j] for r in range(d))) for j in range(d)]
-
-    processed = list(basis_idx)
-    basis_set = set(basis_idx)
-
-    def tight_set(r):
-        return frozenset(k for k in processed if la.dot(gens[k], r) == 0)
-
-    state = [(r, tight_set(r)) for r in rays]
+    basis_mask = sum(1 << i for i in basis_idx)
+    state = [
+        (la.primitive(tuple(sign * adj_b[r][j] for r in range(d))), basis_mask ^ (1 << i))
+        for j, i in enumerate(basis_idx)
+    ]
 
     for i, a in enumerate(gens):
-        if i in basis_set:
+        if basis_mask >> i & 1:
             continue
-        pos, zero, neg = [], [], []
+        bit = 1 << i
+        new_state, pos, neg = [], [], []
         for r, t in state:
             s = la.dot(a, r)
+            if s < 0:
+                neg.append((r, t, s))
+                continue
             if s > 0:
                 pos.append((r, t, s))
-            elif s == 0:
-                zero.append((r, t))
-            else:
-                neg.append((r, t, s))
-        processed.append(i)
-        if not neg:
-            state = [(r, t) for r, t, _ in pos] + [(r, t | {i}) for r, t in zero]
-            continue
-        new_state = [(r, t) for r, t, _ in pos]
-        new_state.extend((r, t | {i}) for r, t in zero)
+            new_state.append((r, t if s else t | bit))
         for rp, tp, sp in pos:
             for rn, tn, sn in neg:
                 common = tp & tn
-                if len(common) < d - 2:
+                if common.bit_count() < d - 2:
                     continue
-                if d > 2 and la.rank([gens[k] for k in common]) != d - 2:
-                    continue
+                if sum(t & common == common for _, t in state) > 2:
+                    continue  # a third ray shares the common face: not adjacent
                 w = la.primitive(tuple(sp * y - sn * x for x, y in zip(rp, rn)))
-                new_state.append((w, tight_set(w)))
-        # drop duplicates (possible only via parallel combinations)
-        seen = {}
-        for r, t in new_state:
-            seen[r] = t
-        state = list(seen.items())
+                new_state.append((w, common | bit))
+        state = list(dict(new_state).items())  # parallel combinations repeat a ray
 
-    return sorted(r for r, _ in state)
+    return sorted(state)
 
 
 # ------------------------------------------------------------------ cone
 # constructors
+
+
+def _double_description(gens, noun, low_rank, dual_low_rank):
+    """Shared body of the two constructors: (d, kept, dual) where dual are
+    the extreme rays of the dual of the cone generated by gens and kept are
+    the primitive gens whose tight dual rays have rank d - 1 (the extreme
+    ones), both read off one double description."""
+    rows = [la.vec(g) for g in gens]
+    if not rows:
+        raise NotProper(f"a proper cone needs at least one {noun}")
+    d = len(rows[0])
+    if any(len(r) != d for r in rows):
+        raise ValueError(f"{noun}s have mixed dimensions")
+    prim = sorted({la.primitive(r) for r in rows})
+    if la.rank(prim) < d:
+        raise NotProper(low_rank)
+    pairs = _dual_extreme_rays(prim, d)
+    dual = tuple(w for w, _ in pairs)
+    if la.rank(dual) < d:
+        raise NotProper(dual_low_rank)
+    kept = [g for k, g in enumerate(prim) if la.rank([w for w, t in pairs if t >> k & 1]) == d - 1]
+    return d, tuple(kept), dual
 
 
 def cone_from_rays(rays):
@@ -146,20 +163,10 @@ def cone_from_rays(rays):
     Computes the irredundant primitive facet normals by double description
     and keeps only the extreme rays among the inputs.
     """
-    ray_list = [la.vec(r) for r in rays]
-    if not ray_list:
-        raise NotProper("a proper cone needs at least one ray")
-    d = len(ray_list[0])
-    if any(len(r) != d for r in ray_list):
-        raise ValueError("rays have mixed dimensions")
-    prim = sorted({la.primitive(r) for r in ray_list})
-    if la.rank(prim) < d:
-        raise NotProper("rays do not span the ambient space")
-    facets = _dual_extreme_rays(prim, d)
-    if la.rank(facets) < d:
-        raise NotProper("cone contains a line")
-    extreme = [r for r in prim if la.rank([f for f in facets if la.dot(f, r) == 0]) == d - 1]
-    return Cone(d, tuple(extreme), tuple(facets))
+    d, extreme, facets = _double_description(
+        rays, "ray", "rays do not span the ambient space", "cone contains a line"
+    )
+    return Cone(d, extreme, facets)
 
 
 def cone_from_facets(facets):
@@ -168,20 +175,10 @@ def cone_from_facets(facets):
     Redundant or duplicate inequalities are dropped; extreme rays are
     computed by double description.
     """
-    facet_list = [la.vec(f) for f in facets]
-    if not facet_list:
-        raise NotProper("a proper cone needs at least one facet")
-    d = len(facet_list[0])
-    if any(len(f) != d for f in facet_list):
-        raise ValueError("facets have mixed dimensions")
-    prim = sorted({la.primitive(f) for f in facet_list})
-    if la.rank(prim) < d:
-        raise NotProper("cone contains a line")
-    rays = _dual_extreme_rays(prim, d)
-    if la.rank(rays) < d:
-        raise NotProper("cone is not full-dimensional")
-    irredundant = [f for f in prim if la.rank([r for r in rays if la.dot(f, r) == 0]) == d - 1]
-    return Cone(d, tuple(rays), tuple(irredundant))
+    d, irredundant, rays = _double_description(
+        facets, "facet", "cone contains a line", "cone is not full-dimensional"
+    )
+    return Cone(d, rays, irredundant)
 
 
 def simplicial_cone(facet_matrix):
@@ -230,33 +227,27 @@ def minkowski_sum_hull(c, points):
     """The polyhedron c + Hull(points) for a finite set of lattice points.
 
     Works through the homogenization cone in Q^(d+1) generated by 0 x rays
-    and 1 x points: its facets give the inequalities, its extreme rays give
-    the vertices (positive height) and the recession cone (height zero).
+    and 1 x points, built by one double description: its facets give the
+    inequalities, and its extreme rays, read off the same pass's incidence,
+    give the vertices (height one) and the recession cone (height zero).
     """
     pts = sorted({la.vec(p) for p in points})
     if not pts:
         raise ValueError("points must be nonempty")
     d = c.dim
-    gens = sorted([(0,) + r for r in c.rays] + [(1,) + p for p in pts])
-    hom_facets = _dual_extreme_rays(gens, d + 1)
-    hom_rays = _dual_extreme_rays(sorted(hom_facets), d + 1)
+    hom = cone_from_rays([(0,) + r for r in c.rays] + [(1,) + p for p in pts])
 
-    verts = []
-    rec = []
-    for r in hom_rays:
-        if r[0] == 0:
-            rec.append(r[1:])
-        else:
-            if r[0] != 1:
-                raise AssertionError(f"non-lattice vertex ray {r}")
-            verts.append(r[1:])
-    if sorted(rec) != list(c.rays):
+    rec = [r[1:] for r in hom.rays if r[0] == 0]
+    verts = [r[1:] for r in hom.rays if r[0] == 1]
+    if len(rec) + len(verts) != len(hom.rays):
+        raise AssertionError(f"non-lattice vertex ray among {hom.rays}")
+    if rec != list(c.rays):
         raise AssertionError("recession cone does not match the input cone")
     if not set(verts) <= set(pts):
         raise AssertionError("hull vertex outside the input point set")
 
     ineqs = []
-    for g in hom_facets:
+    for g in hom.facets:
         normal = g[1:]
         if not any(normal):
             continue  # the height facet x0 >= 0; no constraint on P itself
@@ -266,7 +257,7 @@ def minkowski_sum_hull(c, points):
             raise AssertionError("facet offset not divisible by normal gcd")
         ineqs.append((tuple(x // gcd_n for x in normal), offset // gcd_n))
 
-    return Polyhedron(d, tuple(sorted(verts)), c, tuple(sorted(ineqs)))
+    return Polyhedron(d, tuple(verts), c, tuple(sorted(ineqs)))
 
 
 def localize(p, v):

@@ -50,7 +50,7 @@ def triangulate(c):
         if i in seed:
             continue
         current = [rays[j] for j in placed]
-        cur_facets = _dual_extreme_rays(current, d)
+        cur_facets = [f for f, _ in _dual_extreme_rays(current, d)]
         visible = [f for f in cur_facets if la.dot(f, r) < 0]
         new_simplices = set()
         for f in visible:

@@ -225,8 +225,9 @@ def _entry_from_record(rec) -> MemoEntry:
 def load_cache(path, prune=None) -> dict:
     """Replay a cache log into a memo map for the given pruning threshold.
 
-    A corrupt trailing line is tolerated (everything from the first
-    unparsable line on is ignored); duplicate keys must carry identical
+    A corrupt trailing line is tolerated (everything from the first line
+    that is not JSON, or not shaped like a record, on is ignored); duplicate
+    keys must carry identical
     payloads. Records of unresolved subtrees ("status": "budget"), which
     older versions wrote, are skipped.
     """
@@ -243,8 +244,8 @@ def load_cache(path, prune=None) -> dict:
             rec = json.loads(line)
             key = bytes.fromhex(rec["key"])
             entry = _entry_from_record(rec)
-        except (json.JSONDecodeError, KeyError, ValueError):
-            break  # truncated or corrupt tail; ignore the rest
+        except (KeyError, TypeError, ValueError):
+            break  # truncated, corrupt or misshapen tail; ignore the rest
         if rec.get("prune") != prune or rec["status"] == "budget":
             continue
         if key in memo and memo[key] != entry:

@@ -225,6 +225,23 @@ def test_cache_tolerates_corrupt_tail(tmp_path):
     assert code == 0
 
 
+def test_cache_ignores_misshapen_records(tmp_path):
+    # valid JSON that is not a record counts as a corrupt tail, not a crash
+    args = ("resolve", "--name", "C_2_2")
+    code, want, _ = run_cli(*args)
+    assert code == 0
+    good = tmp_path / "good.jsonl"
+    run_cli(*args, "--cache", str(good))
+    record = json.loads(good.read_text().splitlines()[0])
+    for i, line in enumerate(("[1, 2]", json.dumps(dict(record, child_keys=None)))):
+        cache = tmp_path / f"bad{i}.jsonl"
+        cache.write_text(line + "\n")
+        assert serialize.load_cache(str(cache), None) == {}
+        code, out, _ = run_cli(*args, "--cache", str(cache))
+        assert code == 0, line
+        assert out == want
+
+
 def test_cache_env_override(tmp_path):
     cache = str(tmp_path / "env_cache.jsonl")
     code, _, _ = run_cli(

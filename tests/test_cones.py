@@ -3,9 +3,12 @@ import re
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
 from nashcones.cones import (
+    _dual_extreme_rays,
     canonical_key,
     cone_from_facets,
     cone_from_rays,
@@ -139,6 +142,80 @@ def test_double_description_round_trip_random():
         for r in c.rays:
             assert all(la.dot(f, r) >= 0 for f in c.facets)
             assert la.rank([f for f in c.facets if la.dot(f, r) == 0]) == d - 1
+
+
+@st.composite
+def _generator_sets(draw, pointed):
+    """3-D or 4-D integer generators of full rank, with duplicate (scaled)
+    and redundant (summed) members. With ``pointed`` they lie in an open
+    halfspace, so they generate a proper cone."""
+    d = draw(st.sampled_from((3, 4)))
+    vec = st.tuples(*[st.integers(-4, 4)] * d).filter(any)
+    w = draw(vec)
+    base = draw(st.lists(vec, min_size=d, max_size=7))
+    if pointed:
+        base = [v if la.dot(w, v) > 0 else la.scale(v, -1) for v in base if la.dot(w, v)]
+    assume(len(base) >= d and la.rank(base) == d)
+    n = len(base)
+    gens = list(base)
+    for i, j, k in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2, st.integers(1, 3)), max_size=4)):
+        gens.append(la.scale(base[i], k))
+        gens.append(la.vadd(base[i], base[j]))
+    gens = [g for g in gens if any(g)]
+    return d, draw(st.permutations(gens))
+
+
+def _brute_dual_rays(gens, d):
+    """Extreme rays of {u : g . u >= 0}: feasible kernels of rank-(d-1) subsets."""
+    rays = set()
+    for sub in combinations(sorted(set(gens)), d - 1):
+        if la.rank(sub) != d - 1:
+            continue
+        (k,) = la.kernel_basis(list(sub))
+        for u in (la.primitive(k), la.scale(la.primitive(k), -1)):
+            if all(la.dot(g, u) >= 0 for g in gens):
+                rays.add(u)
+    return sorted(rays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generator_sets(pointed=False))
+def test_dual_extreme_rays_incidence_bitsets(case):
+    d, gens = case
+    pairs = _dual_extreme_rays(gens, d)
+    assert [r for r, _ in pairs] == _brute_dual_rays(gens, d)
+    for r, tight in pairs:
+        assert tight == sum(1 << k for k, g in enumerate(gens) if la.dot(g, r) == 0)
+
+
+def _two_pass_hull(c, points):
+    """The hull route with a second double description over the facets of
+    the homogenization cone, the oracle for the one-pass route."""
+    pts = sorted(set(points))
+    gens = sorted([(0,) + r for r in c.rays] + [(1,) + p for p in pts])
+    hom_facets = sorted(f for f, _ in _dual_extreme_rays(gens, c.dim + 1))
+    hom_rays = [r for r, _ in _dual_extreme_rays(hom_facets, c.dim + 1)]
+    assert all(r[0] in (0, 1) for r in hom_rays)
+    verts = tuple(sorted(r[1:] for r in hom_rays if r[0] == 1))
+    rec = sorted(r[1:] for r in hom_rays if r[0] == 0)
+    ineqs = []
+    for f in hom_facets:
+        if any(f[1:]):
+            g = la.vec_gcd(f[1:])
+            ineqs.append((tuple(x // g for x in f[1:]), -f[0] // g))
+    return verts, tuple(rec), tuple(sorted(ineqs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generator_sets(pointed=True), st.data())
+def test_minkowski_sum_hull_matches_two_pass_route(case, data):
+    d, gens = case
+    c = cone_from_rays(gens)
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=6))
+    p = minkowski_sum_hull(c, pts)
+    verts, rec, ineqs = _two_pass_hull(c, pts)
+    assert (p.vertices, p.recession.rays, p.inequalities) == (verts, rec, ineqs)
+    assert p.recession == c
 
 
 def test_dimension_one():
