@@ -228,6 +228,10 @@ BULK_DIGESTS = {
     "json": "ea5a6cb1f210e654e9a82f31ebac829a3d41b27a81f1f8be69cba9798359121f",
     "dot": "980f9cad0a930e176126e6918f87906e86cc1321261648c3d0d6e4954b07ef2b",
 }
+# SHA-256 over node.key + b"\n" of every node of the same trees, in
+# pre-order, taken before canonical_key dropped the HNF transform; never
+# regenerate.
+BULK_KEY_DIGEST = "416c815de1ff86d99bb5ed3709a94347536d1fdaeca1dc2dacbc6e3b419f228f"
 
 
 def test_criterion_8_bulk_resolution():
@@ -236,11 +240,20 @@ def test_criterion_8_bulk_resolution():
     memos = {}
     renders = (("text", render_text), ("json", render_json), ("dot", render_dot))
     hashes = {fmt: hashlib.sha256() for fmt, _ in renders}
+    keys = hashlib.sha256()
     trees = 0
 
     def digest(tr):
         for fmt, render in renders:
             hashes[fmt].update(render(tr).encode("utf-8"))
+        # node.key of every node in pre-order: memo lookups and cache
+        # records read these bytes, and the renderings do not carry them
+        stack = [tr.root]
+        while stack:
+            node = stack.pop()
+            keys.update(node.key + b"\n")
+            stack.extend(reversed(node.children))
+
     for i in range(1, 11):
         for cls in classify(3, i):
             memo = memos.setdefault((3, i), {})
@@ -282,6 +295,9 @@ def test_criterion_8_bulk_resolution():
     if trees != 161 or got != BULK_DIGESTS:
         ok = False
         print(f"  {trees} trees, output digests {got}")
+    if keys.hexdigest() != BULK_KEY_DIGEST:
+        ok = False
+        print(f"  canonical key digest {keys.hexdigest()}")
     report(8, ok, f"dim 3 idx<=10 in {d3_time:.1f}s; dim 4 idx<=5 in {d4_time:.1f}s")
 
 

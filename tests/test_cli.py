@@ -12,7 +12,7 @@ from nashcones.cli import main
 from nashcones.cones import canonical_key, cone_from_facets
 from nashcones.nash import resolution_tree
 
-from tabledata import presentation
+from tabledata import GOLDEN_TREES, presentation
 
 
 def run_cli(*argv, env=None):
@@ -353,3 +353,27 @@ def test_resolve_output_golden_digests():
             h.update(out.encode("utf-8"))
         got[(fmt, no_memo)] = h.hexdigest()
     assert got == RESOLVE_DIGESTS
+
+
+# SHA-256 over `resolve --name N --format F --no-memo` stdout for the 12
+# dim-4 golden-tree classes (D_2_3 ... D_4_16) in table order. Taken before
+# canonical_key dropped the HNF transform; never regenerate.
+DIM4_NO_MEMO_DIGESTS = {
+    "text": "f9d3895fb3ec13777a6ef7177dbec2069ed6fb848f9bd62c47ba4988f4b0f425",
+    "json": "fca6c43940b1d71bb56a94f2a66c89c7df3bb05bc893a87971a4f01d43cc7b04",
+    "dot": "bc6ca3e50727d2c1836779a47c1131b6ac020f1e995ba83423661d7b5062939b",
+}
+
+
+def test_resolve_dim4_no_memo_golden_digests():
+    names = [name for name in GOLDEN_TREES if name.startswith("D")]
+    assert len(names) == 12
+    got = {}
+    for fmt in DIM4_NO_MEMO_DIGESTS:
+        h = hashlib.sha256()
+        for name in names:
+            code, out, _ = run_cli("resolve", "--name", name, "--format", fmt, "--no-memo")
+            assert code == 0, (name, fmt)
+            h.update(out.encode("utf-8"))
+        got[fmt] = h.hexdigest()
+    assert got == DIM4_NO_MEMO_DIGESTS
