@@ -161,7 +161,7 @@ def classify(d, idx):
         if m in pending:
             pending.remove(m)
             continue
-        pending.update(la.column_hnf(tuple(m[i] for i in perm))[0] for perm in perms)
+        pending.update(la.column_hnf(tuple(m[i] for i in perm)) for perm in perms)
         pending.discard(m)
         cone = simplicial_cone(m)
         factors = direct_sum_decompose(cone)

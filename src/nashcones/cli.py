@@ -2,8 +2,9 @@
 
 Subcommands: hilbert (basis of a cone), resolve (iterated blow-up tree),
 enumerate (classification tables), hj (2-D fast path), verify (built-in
-check suites). Exit codes: 0 ok, 2 input error, 3 budget exhausted,
-4 verification failure.
+check suites). Exit codes: 0 ok, 2 input error (an unreadable or
+unwritable cache path included), 3 budget exhausted, 4 verification
+failure; a closed stdout pipe ends the run with 0.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    except (NotProper, LatticeError, ValueError) as exc:
+    except (NotProper, LatticeError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -70,6 +70,16 @@ class Polyhedron:
 # description
 
 
+def _opposite_rays(rows, d):
+    """For d independent rows, the primitive ray opposite each row: tight on
+    the other d - 1 (their cofactor normal) and oriented positive on it."""
+    rays = []
+    for j, row in enumerate(rows):
+        n = la.normal(rows[:j] + rows[j + 1 :], d)
+        rays.append(la.primitive(n if la.dot(n, row) > 0 else la.scale(n, -1)))
+    return rays
+
+
 def _dual_extreme_rays(gens, d):
     """Extreme rays of {u : g . u >= 0 for all g in gens}, with incidence.
 
@@ -94,14 +104,9 @@ def _dual_extreme_rays(gens, d):
     if len(basis_rows) < d:
         raise ValueError("generators do not span the space")
 
-    b_mat = la.mat(basis_rows)
-    det_b = la.det(b_mat)
-    adj_b = la.adjugate(b_mat)
-    sign = 1 if det_b > 0 else -1
     basis_mask = sum(1 << i for i in basis_idx)
     state = [
-        (la.primitive(tuple(sign * adj_b[r][j] for r in range(d))), basis_mask ^ (1 << i))
-        for j, i in enumerate(basis_idx)
+        (ray, basis_mask ^ (1 << i)) for ray, i in zip(_opposite_rays(basis_rows, d), basis_idx)
     ]
 
     for i, a in enumerate(gens):
@@ -185,12 +190,9 @@ def simplicial_cone(facet_matrix):
     """Fast constructor for {x : A x >= 0} with A square nonsingular."""
     a = la.mat(facet_matrix)
     d = len(a)
-    dt = la.det(a)
-    if dt == 0:
+    if la.det(a) == 0:
         raise NotProper("facet matrix is singular")
-    adj = la.adjugate(a)
-    sign = 1 if dt > 0 else -1
-    rays = sorted(la.primitive(tuple(sign * adj[r][j] for r in range(d))) for j in range(d))
+    rays = sorted(_opposite_rays(a, d))
     norms = sorted(la.primitive(row) for row in a)
     return Cone(d, tuple(rays), tuple(norms))
 
@@ -296,15 +298,15 @@ def canonical_key(c) -> bytes:
         best = tuple(sorted(la.identity(d)))
     else:
         rows = c.rays if len(c.rays) <= len(c.facets) else c.facets
-        best = None
-        for tup in permutations(range(len(rows)), d):
-            basis = la.mat([rows[i] for i in tup])
-            if la.det(basis) == 0:
-                continue
-            _, u = la.column_hnf(basis)
-            cand = tuple(sorted(la.matmul(rows, u)))
-            if best is None or cand < best:
-                best = cand
+        # row_hnf fixes every pivot, and so the whole transform, inside the
+        # nonsingular basis block and stops once all d rows hold one: the
+        # rows below the block come out as rows @ u for the u that puts the
+        # basis in column HNF.
+        best = min(
+            tuple(sorted(la.column_hnf(basis + rows)[d:]))
+            for basis in permutations(rows, d)
+            if la.det(basis)
+        )
     c._key = repr((bucket, best)).encode()
     return c._key
 

@@ -78,7 +78,7 @@ def parallelepiped_points(c):
         raise ValueError("parallelepiped_points needs a simplicial cone")
     det_g = la.det(g)
     adj_g = la.adjugate(g)
-    h, _ = la.row_hnf(g)
+    h = la.row_hnf(g)
 
     points = []
     for x in product(*(range(h[i][i]) for i in range(d))):

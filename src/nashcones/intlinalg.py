@@ -136,6 +136,20 @@ def adjugate(m) -> Mat:
     return mat(adj)
 
 
+def normal(rows, d) -> Vec:
+    """Cofactor normal of d - 1 vectors in Z^d: n . x == det(rows + [x]).
+
+    Entry j is the signed minor of rows with column j deleted, so n is zero
+    iff rows are dependent, and otherwise orthogonal to each of them.
+    """
+    sign = -1 if d % 2 == 0 else 1  # (-1) ** (d - 1), the sign of entry 0
+    n = []
+    for j in range(d):
+        n.append(sign * det([row[:j] + row[j + 1 :] for row in rows]))
+        sign = -sign
+    return tuple(n)
+
+
 def rank(m) -> int:
     """Rank over Q, fraction-free elimination with full pivoting."""
     a = [list(row) for row in m]
@@ -173,16 +187,15 @@ def _sub_row(rows, i, j, q):
 
 
 def row_hnf(m):
-    """Row-style Hermite form: returns (h, u) with h = u @ m, u unimodular.
+    """Row-style Hermite form h of m, equal to u @ m for some unimodular u.
 
     h is in row echelon form with positive pivots and entries above each
     pivot reduced into [0, pivot). The row lattice of h equals that of m.
     """
     a = [list(row) for row in m]
     n = len(a)
-    u = [list(row) for row in identity(n)]
     if n == 0:
-        return (), ()
+        return ()
     cols = len(a[0])
     r = 0
     for c in range(cols):
@@ -194,47 +207,41 @@ def row_hnf(m):
             i0 = min((i for i in range(r, n) if a[i][c] != 0), key=lambda i: abs(a[i][c]))
             if i0 != r:
                 a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
             if a[r][c] < 0:
                 _negate_row(a, r)
-                _negate_row(u, r)
             pivot = a[r][c]
             done = True
             for i in range(r + 1, n):
                 if a[i][c]:
-                    q = a[i][c] // pivot
-                    _sub_row(a, i, r, q)
-                    _sub_row(u, i, r, q)
+                    _sub_row(a, i, r, a[i][c] // pivot)
                     if a[i][c]:
                         done = False
             if done:
                 break
         pivot = a[r][c]
         for i in range(r):
-            q = a[i][c] // pivot
-            _sub_row(a, i, r, q)
-            _sub_row(u, i, r, q)
+            _sub_row(a, i, r, a[i][c] // pivot)
         r += 1
-    return mat(a), mat(u)
+    return mat(a)
 
 
 def column_hnf(m):
-    """Column-style Hermite form: returns (h, u) with h = m @ u, u unimodular.
+    """Column-style Hermite form h of m, equal to m @ u for some unimodular u.
 
     For square nonsingular input, h is lower triangular with positive
     diagonal and each off-diagonal entry reduced into [0, diagonal), so the
     diagonal entry is the unique greatest entry of its row.
     """
-    ht, ut = row_hnf(transpose(m))
+    ht = row_hnf(transpose(m))
     if any(not any(row) for row in ht):
         raise RankDeficient("column HNF requires full column rank")
-    return transpose(ht), transpose(ut)
+    return transpose(ht)
 
 
 def lattice_index(m) -> int:
     """Index in Z^d of the subgroup generated by the rows of m."""
     d = len(m[0]) if m else 0
-    h, _ = row_hnf(m)
+    h = row_hnf(m)
     pivots = []
     for row in h:
         nz = next((x for x in row if x != 0), None)

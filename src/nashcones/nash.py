@@ -10,6 +10,7 @@ canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import intlinalg as la
 from .cones import (
@@ -34,40 +35,24 @@ MEMOIZED = "memoized"
 def sum_set(h):
     """Sums of d linearly independent basis elements, as a set.
 
-    Enumerates independent subsets depth-first, short-circuiting on rank
-    deficiency via an incremental fraction-free echelon.
+    Each independent d-subset is met once: its first d - 1 elements have a
+    nonzero cofactor normal n, and its last element x has n . x != 0, as
+    n . x is the determinant of all d.
     """
     elements = h.elements if isinstance(h, HilbertBasis) else tuple(tuple(v) for v in h)
     d = len(elements[0])
     if len(elements) < d:
         raise AssertionError("Hilbert basis smaller than the dimension")
-    n = len(elements)
     sums = set()
-
-    def reduce_row(echelon, v):
-        w = list(v)
-        for pivot_col, row in echelon:
-            if w[pivot_col]:
-                a, b = w[pivot_col], row[pivot_col]
-                w = [x * b - y * a for x, y in zip(w, row)]
-        for j, x in enumerate(w):
-            if x:
-                return j, tuple(w)
-        return None
-
-    def extend(start, echelon, total):
-        depth = len(echelon)
-        if depth == d:
-            sums.add(total)
-            return
-        for i in range(start, n - (d - depth) + 1):
-            v = elements[i]
-            reduced = reduce_row(echelon, v)
-            if reduced is None:
-                continue
-            extend(i + 1, echelon + [reduced], la.vadd(total, v))
-
-    extend(0, [], (0,) * d)
+    for head in combinations(range(len(elements)), d - 1):
+        rows = [elements[i] for i in head]
+        n = la.normal(rows, d)
+        if not any(n):
+            continue
+        total = tuple(map(sum, zip(*rows, (0,) * d)))
+        for x in elements[head[-1] + 1 if head else 0 :]:
+            if la.dot(n, x):
+                sums.add(la.vadd(total, x))
     return sums
 
 

@@ -253,6 +253,33 @@ def test_cache_env_override(tmp_path):
     assert not os.path.exists(str(tmp_path / "ignored.jsonl"))
 
 
+@pytest.mark.parametrize("where", ["flag", "env"])
+@pytest.mark.parametrize(
+    "path, error",
+    [(".", "IsADirectoryError"), ("missing/cache.jsonl", "FileNotFoundError")],
+)
+def test_unusable_cache_path_exit_2(tmp_path, where, path, error):
+    # a directory fails on load, a path under a missing directory on append
+    cache = str(tmp_path / path)
+    if where == "flag":
+        code, out, err = run_cli("resolve", "--name", "C_2_2", "--cache", cache)
+    else:
+        code, out, err = run_cli("resolve", "--name", "C_2_2", env={"NASH_CACHE": cache})
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {error}: ")
+    assert err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exit_0():
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with redirect_stdout(ClosedPipe()), redirect_stderr(io.StringIO()):
+        assert main(["resolve", "--name", "C_2_2"]) == 0
+
+
 def test_cache_separated_by_prune_threshold(tmp_path):
     cache = str(tmp_path / "cache.jsonl")
     run_cli("resolve", "--name", "C_5_4", "--cache", cache, "--prune-index", "5")

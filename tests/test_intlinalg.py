@@ -163,20 +163,41 @@ def check_column_hnf_shape(h):
                 assert 0 <= h[i][j] < h[i][i]
 
 
+def column_transform(m, h):
+    """The u with m @ u == h for square nonsingular m: adj(m) @ h / det(m)."""
+    dt = la.det(m)
+    num = la.matmul(la.adjugate(m), h)
+    assert all(x % dt == 0 for row in num for x in row)
+    return tuple(tuple(x // dt for x in row) for row in num)
+
+
+def row_transform(m, h):
+    """The u with u @ m == h for square nonsingular m: h @ adj(m) / det(m)."""
+    dt = la.det(m)
+    num = la.matmul(h, la.adjugate(m))
+    assert all(x % dt == 0 for row in num for x in row)
+    return tuple(tuple(x // dt for x in row) for row in num)
+
+
+def check_same_row_lattice(m, h):
+    """Stacked over m, either way round, h is already the row HNF."""
+    zeros = tuple((0,) * len(h[0]) for _ in m)
+    assert la.row_hnf(h + m) == h + zeros
+    assert la.row_hnf(m + h) == h + zeros
+
+
 def test_column_hnf_examples():
     for d in (1, 2, 4):
-        h, u = la.column_hnf(la.identity(d))
+        h = la.column_hnf(la.identity(d))
         assert h == la.identity(d)
-        assert u == la.identity(d)
     m = ((1, 0, 0), (1, 2, 0), (1, 0, 2))
-    h, u = la.column_hnf(m)
+    h = la.column_hnf(m)
     assert h == m
-    assert u == la.identity(3)
+    assert column_transform(m, h) == la.identity(3)
     m = ((4, 7), (1, 2))
-    h, u = la.column_hnf(m)
+    h = la.column_hnf(m)
     assert h == la.identity(2)
-    assert la.matmul(m, u) == h
-    assert abs(la.det(u)) == 1
+    assert abs(la.det(column_transform(m, h))) == 1
 
 
 def test_column_hnf_rank_deficient():
@@ -189,13 +210,10 @@ def test_column_hnf_random_properties():
     for _ in range(300):
         d = rng.randint(1, 5)
         m = random_nonsingular(rng, d)
-        h, u = la.column_hnf(m)
-        assert la.matmul(m, u) == h
-        assert abs(la.det(u)) == 1
+        h = la.column_hnf(m)
+        assert abs(la.det(column_transform(m, h))) == 1
         check_column_hnf_shape(h)
-        h2, u2 = la.column_hnf(h)
-        assert h2 == h
-        assert u2 == la.identity(d)
+        assert la.column_hnf(h) == h
 
 
 def test_column_hnf_is_coset_invariant():
@@ -205,9 +223,7 @@ def test_column_hnf_is_coset_invariant():
         d = rng.randint(2, 4)
         m = random_nonsingular(rng, d)
         w = random_unimodular(rng, d)
-        h1, _ = la.column_hnf(m)
-        h2, _ = la.column_hnf(la.matmul(m, w))
-        assert h1 == h2
+        assert la.column_hnf(m) == la.column_hnf(la.matmul(m, w))
 
 
 def random_unimodular(rng, d, steps=12):
@@ -222,15 +238,16 @@ def random_unimodular(rng, d, steps=12):
 
 
 def test_row_hnf_examples():
-    h, _ = la.row_hnf(((2, 0), (0, 2)))
+    h = la.row_hnf(((2, 0), (0, 2)))
     assert h == ((2, 0), (0, 2))
-    h, _ = la.row_hnf(((1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)))
+    h = la.row_hnf(((1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)))
     nonzero = [row for row in h if any(row)]
     pivots = [next(x for x in row if x) for row in nonzero]
     assert pivots == [1, 1, 1]
-    h, u = la.row_hnf(((3, 6),))
+    m = ((3, 6),)
+    h = la.row_hnf(m)
     assert h == ((3, 6),)
-    assert u == ((1,),)
+    check_same_row_lattice(m, h)
 
 
 def test_row_hnf_random_properties():
@@ -239,18 +256,42 @@ def test_row_hnf_random_properties():
         n = rng.randint(1, 5)
         d = rng.randint(1, 5)
         m = random_matrix(rng, n, d, bound=9)
-        h, u = la.row_hnf(m)
-        assert la.matmul(u, m) == h
-        assert abs(la.det(u)) == 1
+        h = la.row_hnf(m)
         # row lattice preserved: each is an integer combination of the other
-        h2, _ = la.row_hnf(la.mat(list(h) + list(m)))
-        h3, _ = la.row_hnf(h)
-        assert [r for r in h2 if any(r)] == [r for r in h3 if any(r)]
+        check_same_row_lattice(m, h)
+        assert la.row_hnf(h) == h
         if n == d and la.det(m) != 0:
+            assert abs(la.det(row_transform(m, h))) == 1
             # square nonsingular: upper triangular, |det| on the diagonal
             assert all(h[i][j] == 0 for i in range(n) for j in range(i))
             assert all(h[i][i] > 0 for i in range(n))
             assert prod(h[i][i] for i in range(n)) == abs(la.det(m))
+
+
+# ---------------------------------------------------------------- normal
+
+
+@st.composite
+def normal_inputs(draw):
+    """d in 1..5, d - 1 rows (sometimes dependent) and a vector x."""
+    d = draw(st.integers(1, 5))
+    entries = st.integers(-7, 7)
+    rows = [tuple(draw(entries) for _ in range(d)) for _ in range(d - 1)]
+    if d > 2 and draw(st.booleans()):
+        # replace the last row by an integer combination of the others
+        coeffs = [draw(entries) for _ in rows[:-1]]
+        rows[-1] = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d))
+    x = tuple(draw(entries) for _ in range(d))
+    return d, rows, x
+
+
+@given(normal_inputs())
+def test_normal_is_the_cofactor_vector(case):
+    d, rows, x = case
+    n = la.normal(rows, d)
+    assert len(n) == d
+    assert la.dot(n, x) == la.det(rows + [x])
+    assert any(n) == (la.rank(rows) == d - 1)
 
 
 # ---------------------------------------------------------------- index

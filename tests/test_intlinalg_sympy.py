@@ -72,7 +72,7 @@ def test_row_hnf_matches_sympy_hermite_form(m):
     # backwards; on full-rank input, row_hnf of the column-reversed matrix,
     # read back with columns and rows reversed, is the same matrix.
     assume(la.rank(m) == min(len(m), len(m[0])))
-    h, _ = la.row_hnf(tuple(row[::-1] for row in m))
+    h = la.row_hnf(tuple(row[::-1] for row in m))
     rows = [row[::-1] for row in h if any(row)]
     expected = hermite_normal_form(sympy.Matrix(m).T).T
     assert sympy.Matrix(rows[::-1]) == expected

@@ -57,14 +57,19 @@ def test_sum_set_figure_cone():
 
 
 def test_sum_set_matches_brute_force():
-    for name in ("C_2_2", "C_6_4", "C_4_7"):
-        c = cone_from_facets(presentation(name))
-        h = hilbert_basis(c)
+    cones = [cone_from_facets(presentation(name)) for name in ("C_2_2", "C_6_4", "C_4_7")]
+    cones += [cone_from_facets(presentation(name)) for name in ("D_3_5", "D_4_13")]
+    # non-simplicial: a square pyramid, whose basis holds dependent triples
+    cones.append(cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]))
+    cones.append(cone_from_rays([(1, 0), (4, 7)]))
+    inputs = [hilbert_basis(c).elements for c in cones] + [((1,), (2,), (5,))]
+    for elements in inputs:
+        d = len(elements[0])
         brute = set()
-        for trip in combinations(h.elements, 3):
-            if la.rank(trip) == 3:
-                brute.add(tuple(sum(col) for col in zip(*trip)))
-        assert sum_set(h) == brute
+        for subset in combinations(elements, d):
+            if la.rank(subset) == d:
+                brute.add(tuple(sum(col) for col in zip(*subset)))
+        assert sum_set(elements) == brute, elements
 
 
 # ---------------------------------------------------------------- one step
