@@ -49,7 +49,7 @@ def sum_set(h):
         n = la.normal(rows, d)
         if not any(n):
             continue
-        total = tuple(map(sum, zip(*rows, (0,) * d)))
+        total = tuple(map(sum, zip((0,) * d, *rows)))  # the zero row serves d = 1
         for x in elements[head[-1] + 1 if head else 0 :]:
             if la.dot(n, x):
                 sums.add(la.vadd(total, x))
