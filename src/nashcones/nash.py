@@ -56,10 +56,61 @@ def sum_set(h):
     return sums
 
 
+def _min_weight_sum(elements, u, d):
+    """A point of the sum set minimizing u . x: the sum of a minimum-weight
+    basis of the linear matroid on the elements, found greedily (Edmonds
+    1971). Candidates come in (u . h, h) order; each is kept iff it is
+    independent of those kept, tested against an incremental
+    fraction-free echelon whose row k is zero at the pivots of rows < k.
+    """
+    echelon = []  # (pivot column, row)
+    total = (0,) * d
+    kept = 0
+    for _, h in sorted((la.dot(u, h), h) for h in elements):
+        v = h
+        for p, row in echelon:
+            if v[p]:
+                v = tuple(row[p] * x - v[p] * y for x, y in zip(v, row))
+        if not any(v):
+            continue
+        echelon.append((next(j for j, x in enumerate(v) if x), la.primitive(v)))
+        total = la.vadd(total, h)
+        kept += 1
+        if kept == d:
+            return total
+    raise AssertionError("Hilbert basis smaller than the dimension")
+
+
 def nash_blowup(c):
-    """The multiset of localizations of C + Hull S at its vertices."""
-    p = minkowski_sum_hull(c, sum_set(hilbert_basis(c)))
-    return tuple(localize(p, v) for v in p.vertices)
+    """The multiset of localizations of C + Hull S at its vertices.
+
+    P = C + Hull S is built by cutting planes, never enumerating S: seed
+    with the greedy minimizers of an interior u of C^v (the sum of C's
+    facet normals) and of each facet normal, take the hull, then ask the
+    oracle about every inequality n . x >= b of the hull and add each
+    minimizer with n . x < b, until none is violated.
+    """
+    elements = hilbert_basis(c).elements
+    d = c.dim
+    interior = tuple(map(sum, zip(*c.facets)))
+    pts = {_min_weight_sum(elements, u, d) for u in (interior,) + c.facets}
+    checked = set()
+    while True:
+        # Exact: the hull of points of S lies in P, and once every
+        # inequality of it holds on all of S (the oracle's minimum is not
+        # below b), S and so P = C + Hull S lie in it too.
+        p = minkowski_sum_hull(c, pts)
+        cuts = set()
+        for n, b in p.inequalities:
+            if (n, b) in checked:
+                continue
+            checked.add((n, b))
+            x = _min_weight_sum(elements, n, d)
+            if la.dot(n, x) < b:
+                cuts.add(x)
+        if not cuts:
+            return tuple(localize(p, v) for v in p.vertices)
+        pts |= cuts
 
 
 # ------------------------------------------------------------------ trees
@@ -151,6 +202,84 @@ def _child_sort_key(cone):
     return (canonical_key(cone), cone.facets)
 
 
+@dataclass
+class _Expansion:
+    """The settings and running counts of one resolution_tree call."""
+
+    prune_below_index: object
+    memoize: bool
+    max_depth: int
+    max_nodes: int
+    memo: dict
+    new_keys: list = field(default_factory=list)
+    created: int = 1
+    budget_hit: bool = False
+
+
+def _expand(run, cone, depth):
+    # Module level and handed its context: a nested recursive closure would
+    # refer to itself through its own cell, and that cycle would keep the
+    # memo alive until a full garbage collection.
+    node = TreeNode(
+        cone,
+        index(cone),
+        dual_index(cone),
+        EXPANDED,
+        canonical_key(cone),
+        max_facets=len(cone.facets),
+    )
+    if is_smooth(cone):
+        node.status = SMOOTH
+        return node
+    if (
+        run.prune_below_index is not None
+        and cone.is_simplicial
+        and node.index < run.prune_below_index
+    ):
+        node.status = PRUNED_KNOWN
+        node.has_pruned = True
+        return node
+    if depth >= run.max_depth or run.budget_hit:
+        node.status = PRUNED_DEPTH
+        node.resolved = False
+        return node
+    entry = run.memo.get(node.key) if run.memoize else None
+    if entry is not None and depth + entry.depth_below <= run.max_depth:
+        node.status = MEMOIZED
+        node.depth_below = entry.depth_below
+        node.size = entry.size
+        node.max_facets = entry.max_facets
+        node.has_pruned = entry.has_pruned
+        return node
+
+    children = sorted(nash_blowup(cone), key=_child_sort_key)
+    run.created += len(children)
+    if run.created > run.max_nodes:
+        run.budget_hit = True
+        node.status = PRUNED_DEPTH
+        node.resolved = False
+        return node
+    node.children = [_expand(run, ch, depth + 1) for ch in children]
+    node.depth_below = 1 + max(ch.depth_below for ch in node.children)
+    node.size = 1 + sum(ch.size for ch in node.children)
+    node.max_facets = max([node.max_facets] + [ch.max_facets for ch in node.children])
+    node.resolved = all(ch.resolved for ch in node.children)
+    node.has_pruned = any(ch.has_pruned for ch in node.children)
+    if run.memoize and node.resolved and node.key not in run.memo:
+        run.memo[node.key] = MemoEntry(
+            cone.dim,
+            node.index,
+            node.dual_index,
+            node.depth_below,
+            node.size,
+            node.max_facets,
+            node.has_pruned,
+            tuple(ch.key for ch in node.children),
+        )
+        run.new_keys.append(node.key)
+    return node
+
+
 def resolution_tree(
     c,
     prune_below_index=None,
@@ -167,81 +296,26 @@ def resolution_tree(
     canonical key heads a resolved subtree that fits within max_depth at
     this depth becomes a memoized leaf carrying the cached subtree
     statistics; only resolved subtrees are memoized. Children are ordered
-    by canonical key. Raises BudgetExceeded (with the partial tree
-    attached) when more than max_nodes nodes are created.
+    by canonical key. Raises ValueError when max_depth < 0 or
+    max_nodes < 1, and BudgetExceeded (with the partial tree attached)
+    when more than max_nodes nodes are created.
     """
-    memo_map = {} if memo is None else memo
-    new_keys: list = []
-    created = [1]
-    budget_hit = [False]
-
-    def expand(cone, depth):
-        node = TreeNode(
-            cone,
-            index(cone),
-            dual_index(cone),
-            EXPANDED,
-            canonical_key(cone),
-            max_facets=len(cone.facets),
-        )
-        if is_smooth(cone):
-            node.status = SMOOTH
-            return node
-        if prune_below_index is not None and cone.is_simplicial and node.index < prune_below_index:
-            node.status = PRUNED_KNOWN
-            node.has_pruned = True
-            return node
-        if depth >= max_depth or budget_hit[0]:
-            node.status = PRUNED_DEPTH
-            node.resolved = False
-            return node
-        entry = memo_map.get(node.key) if memoize else None
-        if entry is not None and depth + entry.depth_below <= max_depth:
-            node.status = MEMOIZED
-            node.depth_below = entry.depth_below
-            node.size = entry.size
-            node.max_facets = entry.max_facets
-            node.has_pruned = entry.has_pruned
-            return node
-
-        children = sorted(nash_blowup(cone), key=_child_sort_key)
-        created[0] += len(children)
-        if created[0] > max_nodes:
-            budget_hit[0] = True
-            node.status = PRUNED_DEPTH
-            node.resolved = False
-            return node
-        node.children = [expand(ch, depth + 1) for ch in children]
-        node.depth_below = 1 + max(ch.depth_below for ch in node.children)
-        node.size = 1 + sum(ch.size for ch in node.children)
-        node.max_facets = max([node.max_facets] + [ch.max_facets for ch in node.children])
-        node.resolved = all(ch.resolved for ch in node.children)
-        node.has_pruned = any(ch.has_pruned for ch in node.children)
-        if memoize and node.resolved and node.key not in memo_map:
-            memo_map[node.key] = MemoEntry(
-                cone.dim,
-                node.index,
-                node.dual_index,
-                node.depth_below,
-                node.size,
-                node.max_facets,
-                node.has_pruned,
-                tuple(ch.key for ch in node.children),
-            )
-            new_keys.append(node.key)
-        return node
-
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    run = _Expansion(prune_below_index, memoize, max_depth, max_nodes, {} if memo is None else memo)
     tree = ResolutionTree(
-        expand(c, 0),
+        _expand(run, c, 0),
         prune_below_index,
         memoize,
         max_depth,
         max_nodes,
-        created[0],
-        memo_map,
-        new_keys,
-        budget_hit[0],
+        run.created,
+        run.memo,
+        run.new_keys,
+        run.budget_hit,
     )
-    if budget_hit[0]:
+    if run.budget_hit:
         raise BudgetExceeded(f"node budget {max_nodes} exceeded", tree=tree)
     return tree

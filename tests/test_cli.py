@@ -107,6 +107,27 @@ def test_resolve_depth_cap_exit_3():
     assert "resolved False" in err
 
 
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("C_3_3", "--max-depth", "-1"),
+        ("C_1_1", "--max-depth", "-1"),  # a smooth root needs no depth, but -1 is still bad
+        ("C_3_3", "--max-nodes", "0"),
+        ("C_1_1", "--max-nodes", "0"),
+        ("C_3_3", "--max-nodes", "-5"),
+    ],
+)
+def test_resolve_bad_budget_exit_2(tmp_path, name, flag, value):
+    cache = tmp_path / "cache.jsonl"
+    code, out, err = run_cli("resolve", "--name", name, flag, value, "--cache", str(cache))
+    assert code == 2
+    assert out == ""
+    option = flag[2:].replace("-", "_")
+    want = ">= 0" if option == "max_depth" else ">= 1"
+    assert err == f"error: ValueError: {option} must be {want}, got {value}\n"
+    assert not cache.exists()
+
+
 def test_resolve_json_round_trip():
     code, out, _ = run_cli("resolve", "--name", "C_3_3", "--format", "json", "--no-memo")
     assert code == 0

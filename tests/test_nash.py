@@ -1,7 +1,11 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
 from nashcones.cones import (
@@ -12,11 +16,13 @@ from nashcones.cones import (
     equivalent,
     index,
     is_smooth,
+    localize,
     minkowski_sum_hull,
 )
 from nashcones.errors import BudgetExceeded
 from nashcones.hilbert import hilbert_basis
 from nashcones.nash import (
+    _min_weight_sum,
     nash_blowup,
     resolution_tree,
     sum_set,
@@ -70,6 +76,68 @@ def test_sum_set_matches_brute_force():
             if la.rank(subset) == d:
                 brute.add(tuple(sum(col) for col in zip(*subset)))
         assert sum_set(elements) == brute, elements
+
+
+# ---------------------------------------------------------------- greedy
+# oracle
+
+
+HILBERT_CAP = {2: 24, 3: 18, 4: 14}
+
+
+@st.composite
+def _small_cones(draw):
+    """A cone of dimension 2-4 with d to d + 2 rays and a small Hilbert
+    basis; every pointed cone is GL(d,Z)-equivalent to one whose rays have
+    a positive last coordinate."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    bound = {2: 6, 3: 3, 4: 2}[d]
+    ray = st.tuples(*[st.integers(-bound, bound)] * (d - 1), st.integers(1, bound))
+    rays = draw(st.lists(ray, min_size=d, max_size=d + 2))
+    assume(la.rank(rays) == d)
+    c = cone_from_rays(rays)
+    assume(not is_smooth(c))
+    h = hilbert_basis(c).elements
+    assume(len(h) <= HILBERT_CAP[d])
+    return c, h
+
+
+def _explicit_blowup(c):
+    p = minkowski_sum_hull(c, sum_set(hilbert_basis(c)))
+    return tuple(localize(p, v) for v in p.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_cones(), st.data())
+def test_min_weight_sum_is_minimal_over_sum_set(case, data):
+    c, h = case
+    coeffs = data.draw(st.lists(st.integers(0, 4), min_size=len(c.facets), max_size=len(c.facets)))
+    u = tuple(map(sum, zip((0,) * c.dim, *(la.scale(f, k) for f, k in zip(c.facets, coeffs)))))
+    s = sum_set(h)
+    x = _min_weight_sum(h, u, c.dim)
+    assert x in s
+    assert la.dot(u, x) == min(la.dot(u, y) for y in s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_cones())
+def test_cutting_plane_hull_equals_explicit_sum_set_hull(case):
+    c, _ = case
+    assert nash_blowup(c) == _explicit_blowup(c)
+
+
+def test_blowup_matches_explicit_path_on_bulk_subset():
+    # every blow-up of the memoized trees, resolved as the bulk set does
+    # (pruned at the root's index), including the non-simplicial children
+    for name in ("C_4_7", "C_6_5", "D_3_5", "D_4_13", "D_4_16", "D_5_9"):
+        c = cone_from_facets(presentation(name))
+        tree = resolution_tree(c, prune_below_index=index(c))
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.status == "expanded":
+                assert nash_blowup(node.cone) == _explicit_blowup(node.cone), name
+            stack.extend(node.children)
 
 
 # ---------------------------------------------------------------- one step
@@ -177,6 +245,33 @@ def test_pruning_never_applies_to_root():
     c = cone_from_facets(presentation("C_2_2"))
     tr = resolution_tree(c, prune_below_index=2, memoize=False)
     assert tr.root.status == "expanded"
+
+
+def test_budget_arguments_must_be_positive():
+    c = cone_from_facets(presentation("C_3_3"))
+    orthant = cone_from_rays(la.identity(3))
+    for root in (c, orthant):
+        with pytest.raises(ValueError, match="max_depth"):
+            resolution_tree(root, max_depth=-1)
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match="max_nodes"):
+                resolution_tree(root, max_nodes=bad)
+    assert tree_stats(resolution_tree(orthant, max_depth=0, max_nodes=1)).resolved
+
+
+def test_dropped_tree_frees_memo_without_gc():
+    # no reference cycle holds the memo: dropping the tree frees its
+    # entries by reference counting alone
+    c = cone_from_facets(presentation("C_4_3"))
+    gc.disable()
+    try:
+        tree = resolution_tree(c)
+        assert tree.memo
+        ref = weakref.ref(next(iter(tree.memo.values())))
+        del tree
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_memoization_consistency():
