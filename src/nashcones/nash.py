@@ -2,9 +2,15 @@
 
 A blow-up of a cone C is the multiset of localizations of C + Hull(S) at
 its vertices, where S collects the sums of d linearly independent Hilbert
-basis elements. The tree expands non-smooth cones recursively, with
-optional pruning of small-index simplicial cones and memoization keyed by
-canonical form.
+basis elements. S is never enumerated in the blow-up: for u in the dual
+cone, min u . x over S is the weight of a minimum-weight basis of the
+linear matroid on the Hilbert basis, which the greedy algorithm finds
+(Edmonds 1971), and that oracle builds C + Hull(S) by cutting planes
+(as in Emiris-Fisikopoulos-Konaxis-Penaranda, arXiv:1108.5985).
+``sum_set`` still lists S explicitly and serves as the reference.
+
+The tree expands non-smooth cones recursively, with optional pruning of
+small-index simplicial cones and memoization keyed by canonical form.
 """
 
 from __future__ import annotations
@@ -81,14 +87,13 @@ def _min_weight_sum(elements, u, d):
     raise AssertionError("Hilbert basis smaller than the dimension")
 
 
-def nash_blowup(c):
-    """The multiset of localizations of C + Hull S at its vertices.
-
-    P = C + Hull S is built by cutting planes, never enumerating S: seed
-    with the greedy minimizers of an interior u of C^v (the sum of C's
-    facet normals) and of each facet normal, take the hull, then ask the
-    oracle about every inequality n . x >= b of the hull and add each
-    minimizer with n . x < b, until none is violated.
+def _sum_hull(c):
+    """The polyhedron C + Hull S, built by cutting planes without
+    enumerating S: seed with the greedy minimizers of an interior u of C^v
+    (the sum of C's facet normals) and of each facet normal, take the
+    hull, then ask the oracle about every inequality n . x >= b of the
+    hull and add each minimizer with n . x < b, until none is violated.
+    Each round is one minkowski_sum_hull.
     """
     elements = hilbert_basis(c).elements
     d = c.dim
@@ -103,14 +108,21 @@ def nash_blowup(c):
         cuts = set()
         for n, b in p.inequalities:
             if (n, b) in checked:
-                continue
+                continue  # held on all of S in an earlier round
             checked.add((n, b))
             x = _min_weight_sum(elements, n, d)
             if la.dot(n, x) < b:
                 cuts.add(x)
         if not cuts:
-            return tuple(localize(p, v) for v in p.vertices)
+            return p
         pts |= cuts
+
+
+def nash_blowup(c):
+    """The multiset of localizations of C + Hull S at its vertices, with
+    the polyhedron built by the greedy oracle's cutting planes."""
+    p = _sum_hull(c)
+    return tuple(localize(p, v) for v in p.vertices)
 
 
 # ------------------------------------------------------------------ trees
