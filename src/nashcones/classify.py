@@ -145,6 +145,7 @@ def classify(d, idx):
     lexicographic order of the lex-least HNF presentation in each class.
     Reducibility lists the direct-sum factor names, or () if irreducible.
     """
+    letter = _letter(d)  # before the d! permutations below are listed
     if d == 1:
         if idx != 1:
             return ()
@@ -152,7 +153,6 @@ def classify(d, idx):
         return (ConeClass("A", 1, 1, 1, ((1,),), (), cone),)
 
     perms = list(permutations(range(d)))
-    letter = _letter(d)
     classes = []
     # HNFs in the orbit of a kept class that the walk has not reached yet;
     # each comes up exactly once, so it is dropped when it does.

@@ -6,13 +6,17 @@ A cone is always kept in dual form: primitive extreme rays plus primitive
 inward facet normals, both sorted. Both constructors, and the hull of a
 Minkowski sum, run one double description pass that carries each dual
 ray's incidence as an int bitset, so redundancy is read off that pass and
-never recomputed. Every operation is exact and pure.
+never recomputed: a generator is extreme iff the dual rays tight on it
+share no other generator (the face rule of Fukuda-Prodon 1996). Every
+operation is exact and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations, islice, permutations
+from operator import and_
 
 from . import intlinalg as la
 from .errors import NotAVertex, NotProper
@@ -93,16 +97,10 @@ def _dual_extreme_rays(gens, d):
     Two rays are adjacent iff no third ray is tight on all of their common
     set (Fukuda-Prodon 1996). Requires rank(gens) == d (a pointed dual).
     """
-    basis_rows = []
-    basis_idx = []
-    for i, g in enumerate(gens):
-        if la.rank(basis_rows + [g]) == len(basis_rows) + 1:
-            basis_rows.append(g)
-            basis_idx.append(i)
-            if len(basis_rows) == d:
-                break
-    if len(basis_rows) < d:
+    basis_idx = list(islice(la.independent(gens), d))
+    if len(basis_idx) < d:
         raise ValueError("generators do not span the space")
+    basis_rows = [gens[i] for i in basis_idx]
 
     basis_mask = sum(1 << i for i in basis_idx)
     state = [
@@ -143,8 +141,11 @@ def _dual_extreme_rays(gens, d):
 def _double_description(gens, noun, low_rank, dual_low_rank):
     """Shared body of the two constructors: (d, kept, dual) where dual are
     the extreme rays of the dual of the cone generated by gens and kept are
-    the primitive gens whose tight dual rays have rank d - 1 (the extreme
-    ones), both read off one double description."""
+    the extreme primitive gens, both read off one double description.
+
+    The gens tight on every dual ray tight on gens[k] are those in the
+    smallest face containing it (Fukuda-Prodon 1996), so gens[k] is
+    extreme iff the AND of those rays' incidence masks is 1 << k."""
     rows = [la.vec(g) for g in gens]
     if not rows:
         raise NotProper(f"a proper cone needs at least one {noun}")
@@ -158,7 +159,12 @@ def _double_description(gens, noun, low_rank, dual_low_rank):
     dual = tuple(w for w, _ in pairs)
     if la.rank(dual) < d:
         raise NotProper(dual_low_rank)
-    kept = [g for k, g in enumerate(prim) if la.rank([w for w, t in pairs if t >> k & 1]) == d - 1]
+    every = (1 << len(prim)) - 1
+    kept = [
+        g
+        for k, g in enumerate(prim)
+        if reduce(and_, (t for _, t in pairs if t >> k & 1), every) == 1 << k
+    ]
     return d, tuple(kept), dual
 
 

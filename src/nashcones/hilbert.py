@@ -9,10 +9,10 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from . import intlinalg as la
-from .cones import Cone, cone_from_rays, _dual_extreme_rays
+from .cones import Cone, _dual_extreme_rays, dual, simplicial_cone
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,7 @@ def triangulate(c):
     if len(rays) == d:
         return [c]
 
-    seed = []
-    seed_rows = []
-    for i, r in enumerate(rays):
-        if la.rank(seed_rows + [r]) == len(seed_rows) + 1:
-            seed.append(i)
-            seed_rows.append(r)
-            if len(seed) == d:
-                break
+    seed = list(islice(la.independent(rays), d))
     simplices = {tuple(sorted(seed))}
     placed = sorted(seed)
 
@@ -61,7 +54,8 @@ def triangulate(c):
         simplices |= new_simplices
         placed.append(i)
 
-    return [cone_from_rays([rays[j] for j in simplex]) for simplex in sorted(simplices)]
+    # d independent rays: the dual of {x : rays @ x >= 0} is the piece
+    return [dual(simplicial_cone([rays[j] for j in simplex])) for simplex in sorted(simplices)]
 
 
 def parallelepiped_points(c):

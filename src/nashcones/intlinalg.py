@@ -3,6 +3,11 @@
 Vectors are tuples of Python ints, matrices are tuples of row tuples.
 Python's arbitrary-precision ints make every operation exact; all
 functions here are pure.
+
+Besides the determinant, two eliminations carry the kernel: the greedy
+fraction-free echelon of :func:`independent` (rank, and every greedy
+basis the other modules pick) and the Hermite form :func:`row_hnf`
+(column forms, lattice indices, Smith forms and integer kernels).
 """
 
 from __future__ import annotations
@@ -150,35 +155,30 @@ def normal(rows, d) -> Vec:
     return tuple(n)
 
 
+def independent(rows):
+    """Yield, in order, the index of each row independent of the rows
+    yielded before it: the greedy basis of the rows' span over Q.
+
+    One incremental fraction-free echelon: each row is reduced against the
+    rows kept so far, kept row k being zero at the pivots of rows < k, and
+    it is kept iff something nonzero is left. The generator stops once the
+    echelon spans the whole space.
+    """
+    echelon = []  # (pivot column, primitive row)
+    for i, v in enumerate(rows):
+        for p, row in echelon:
+            if v[p]:
+                v = tuple(row[p] * x - v[p] * y for x, y in zip(v, row))
+        if any(v):
+            echelon.append((next(j for j, x in enumerate(v) if x), primitive(v)))
+            yield i
+            if len(echelon) == len(v):
+                return
+
+
 def rank(m) -> int:
-    """Rank over Q, fraction-free elimination with full pivoting."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if n == 0:
-        return 0
-    d = len(a[0])
-    r = 0
-    prev = 1
-    for c in range(d):
-        pivot_row = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, n):
-            aic = a[i][c]
-            for j in range(c + 1, d):
-                a[i][j] = (a[i][j] * pivot - aic * a[r][j]) // prev
-            a[i][c] = 0
-        prev = pivot
-        r += 1
-        if r == n:
-            break
-    return r
-
-
-def _negate_row(rows, i):
-    rows[i] = [-x for x in rows[i]]
+    """Rank over Q: the number of rows :func:`independent` keeps."""
+    return sum(1 for _ in independent(m))
 
 
 def _sub_row(rows, i, j, q):
@@ -208,7 +208,7 @@ def row_hnf(m):
             if i0 != r:
                 a[r], a[i0] = a[i0], a[r]
             if a[r][c] < 0:
-                _negate_row(a, r)
+                a[r] = [-x for x in a[r]]
             pivot = a[r][c]
             done = True
             for i in range(r + 1, n):
@@ -255,106 +255,59 @@ def lattice_index(m) -> int:
     return index
 
 
+def _hnf_augmented(a, t):
+    """row_hnf([a | t]) split back into (h, u @ t), where h = u @ a is the
+    Hermite form of a: past the a block the elimination only combines rows
+    whose a block is zero, so that block comes out as row_hnf(a)."""
+    k = len(a[0]) if a else 0
+    ht = row_hnf(tuple(x + y for x, y in zip(a, t)))
+    return tuple(row[:k] for row in ht), tuple(row[k:] for row in ht)
+
+
 def snf(m):
     """Smith normal form: returns (s, u, v) with s = u @ m @ v.
 
     u and v are unimodular; s is diagonal with nonnegative entries and
-    each diagonal entry divides the next.
+    each diagonal entry divides the next. Column and row Hermite forms
+    alternate until the matrix is diagonal (Kannan-Bachem 1979); a
+    diagonal entry that does not divide a later one gets the later row
+    added to it, and the rounds go on. Each round puts the column form
+    first: a row form first would take the added row straight back out.
     """
-    a = [list(row) for row in m]
-    n = len(a)
-    d = len(a[0]) if n else 0
-    u = [list(row) for row in identity(n)]
-    v = [list(row) for row in identity(d)]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def sub_col(j, k, q):
-        if q:
-            for row in a:
-                row[j] -= q * row[k]
-            for row in v:
-                row[j] -= q * row[k]
-
-    def negate_col(j):
-        for row in a:
-            row[j] = -row[j]
-        for row in v:
-            row[j] = -row[j]
-
-    t = 0
-    while t < min(n, d):
-        nonzero = [(abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, d) if a[i][j] != 0]
-        if not nonzero:
-            break
-        _, pi, pj = min(nonzero)
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            if a[t][t] < 0:
-                _negate_row(a, t)
-                _negate_row(u, t)
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    _sub_row(a, i, t, q)
-                    _sub_row(u, i, t, q)
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, d):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    sub_col(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            break
-        pivot = a[t][t]
+    n = len(m)
+    d = len(m[0]) if n else 0
+    u, v = identity(n), identity(d)
+    a = mat(m)
+    if not (n and d):  # transposing would lose the shape
+        return a, u, v
+    while True:
+        at, vt = _hnf_augmented(transpose(a), transpose(v))
+        a, v = transpose(at), transpose(vt)
+        a, u = _hnf_augmented(a, u)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        diag = [a[i][i] for i in range(min(n, d))]
+        # zero entries come last, so a zero diag[i] leaves nothing to divide
         offender = next(
-            ((i, j) for i in range(t + 1, n) for j in range(t + 1, d) if a[i][j] % pivot != 0),
+            ((i, j) for j in range(len(diag)) for i in range(j) if diag[i] and diag[j] % diag[i]),
             None,
         )
-        if offender is not None:
-            i, _ = offender
-            _sub_row(a, t, i, -1)
-            _sub_row(u, t, i, -1)
-            continue
-        t += 1
-    for j in range(min(n, d)):
-        if a[j][j] < 0:
-            negate_col(j)
-    return mat(a), mat(u), mat(v)
+        if offender is None:
+            return a, u, v
+        i, j = offender
+        a = a[:i] + (vadd(a[i], a[j]),) + a[i + 1 :]
+        u = u[:i] + (vadd(u[i], u[j]),) + u[i + 1 :]
 
 
 def kernel_basis(m):
     """Basis rows of the integer kernel {x in Z^d : m @ x == 0}.
 
-    The basis is saturated (its rows are columns of the unimodular Smith
-    transform): every integer vector of the rational kernel is an integer
-    combination of it. Direct-sum splitting in ``cones`` relies on this.
+    The rows of the Hermite form of [m^T | I] whose m^T block is zero, read
+    in the identity block. That block records a unimodular transform, so
+    the basis is saturated: every integer vector of the rational kernel is
+    an integer combination of it. Direct-sum splitting in ``cones`` relies
+    on this.
     """
-    n = len(m)
-    d = len(m[0]) if n else 0
-    if n == 0:
-        return identity(d)
-    s, _, v = snf(m)
-    free = [j for j in range(d) if j >= n or s[j][j] == 0]
-    return tuple(tuple(v[i][j] for i in range(d)) for j in free)
-
+    d = len(m[0]) if m else 0
+    h, t = _hnf_augmented(transpose(m), identity(d))
+    return tuple(row for hrow, row in zip(h, t) if not any(hrow))

@@ -16,7 +16,7 @@ small-index simplicial cones and memoization keyed by canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import intlinalg as la
 from .cones import (
@@ -65,26 +65,13 @@ def sum_set(h):
 def _min_weight_sum(elements, u, d):
     """A point of the sum set minimizing u . x: the sum of a minimum-weight
     basis of the linear matroid on the elements, found greedily (Edmonds
-    1971). Candidates come in (u . h, h) order; each is kept iff it is
-    independent of those kept, tested against an incremental
-    fraction-free echelon whose row k is zero at the pivots of rows < k.
-    """
-    echelon = []  # (pivot column, row)
-    total = (0,) * d
-    kept = 0
-    for _, h in sorted((la.dot(u, h), h) for h in elements):
-        v = h
-        for p, row in echelon:
-            if v[p]:
-                v = tuple(row[p] * x - v[p] * y for x, y in zip(v, row))
-        if not any(v):
-            continue
-        echelon.append((next(j for j, x in enumerate(v) if x), la.primitive(v)))
-        total = la.vadd(total, h)
-        kept += 1
-        if kept == d:
-            return total
-    raise AssertionError("Hilbert basis smaller than the dimension")
+    1971) as the first d elements, in (u . h, h) order, independent of
+    those before them."""
+    ordered = [h for _, h in sorted((la.dot(u, h), h) for h in elements)]
+    basis = [ordered[i] for i in islice(la.independent(ordered), d)]
+    if len(basis) < d:
+        raise AssertionError("Hilbert basis smaller than the dimension")
+    return tuple(map(sum, zip(*basis)))
 
 
 def _sum_hull(c):
@@ -159,15 +146,18 @@ class MemoEntry:
 
 @dataclass
 class ResolutionTree:
-    root: TreeNode
+    """A resolution_tree result; its settings and running counts also steer
+    the expansion that fills it in."""
+
     prune_below_index: object
     memoize: bool
     max_depth: int
     max_nodes: int
-    nodes_created: int
     memo: dict
-    new_memo_keys: list
+    new_memo_keys: list = field(default_factory=list)
+    nodes_created: int = 1
     budget_hit: bool = False
+    root: TreeNode = None
 
 
 @dataclass(frozen=True)
@@ -214,22 +204,8 @@ def _child_sort_key(cone):
     return (canonical_key(cone), cone.facets)
 
 
-@dataclass
-class _Expansion:
-    """The settings and running counts of one resolution_tree call."""
-
-    prune_below_index: object
-    memoize: bool
-    max_depth: int
-    max_nodes: int
-    memo: dict
-    new_keys: list = field(default_factory=list)
-    created: int = 1
-    budget_hit: bool = False
-
-
-def _expand(run, cone, depth):
-    # Module level and handed its context: a nested recursive closure would
+def _expand(tree, cone, depth):
+    # Module level and handed its tree: a nested recursive closure would
     # refer to itself through its own cell, and that cycle would keep the
     # memo alive until a full garbage collection.
     node = TreeNode(
@@ -244,19 +220,19 @@ def _expand(run, cone, depth):
         node.status = SMOOTH
         return node
     if (
-        run.prune_below_index is not None
+        tree.prune_below_index is not None
         and cone.is_simplicial
-        and node.index < run.prune_below_index
+        and node.index < tree.prune_below_index
     ):
         node.status = PRUNED_KNOWN
         node.has_pruned = True
         return node
-    if depth >= run.max_depth or run.budget_hit:
+    if depth >= tree.max_depth or tree.budget_hit:
         node.status = PRUNED_DEPTH
         node.resolved = False
         return node
-    entry = run.memo.get(node.key) if run.memoize else None
-    if entry is not None and depth + entry.depth_below <= run.max_depth:
+    entry = tree.memo.get(node.key) if tree.memoize else None
+    if entry is not None and depth + entry.depth_below <= tree.max_depth:
         node.status = MEMOIZED
         node.depth_below = entry.depth_below
         node.size = entry.size
@@ -265,20 +241,20 @@ def _expand(run, cone, depth):
         return node
 
     children = sorted(nash_blowup(cone), key=_child_sort_key)
-    run.created += len(children)
-    if run.created > run.max_nodes:
-        run.budget_hit = True
+    tree.nodes_created += len(children)
+    if tree.nodes_created > tree.max_nodes:
+        tree.budget_hit = True
         node.status = PRUNED_DEPTH
         node.resolved = False
         return node
-    node.children = [_expand(run, ch, depth + 1) for ch in children]
+    node.children = [_expand(tree, ch, depth + 1) for ch in children]
     node.depth_below = 1 + max(ch.depth_below for ch in node.children)
     node.size = 1 + sum(ch.size for ch in node.children)
     node.max_facets = max([node.max_facets] + [ch.max_facets for ch in node.children])
     node.resolved = all(ch.resolved for ch in node.children)
     node.has_pruned = any(ch.has_pruned for ch in node.children)
-    if run.memoize and node.resolved and node.key not in run.memo:
-        run.memo[node.key] = MemoEntry(
+    if tree.memoize and node.resolved and node.key not in tree.memo:
+        tree.memo[node.key] = MemoEntry(
             cone.dim,
             node.index,
             node.dual_index,
@@ -288,7 +264,7 @@ def _expand(run, cone, depth):
             node.has_pruned,
             tuple(ch.key for ch in node.children),
         )
-        run.new_keys.append(node.key)
+        tree.new_memo_keys.append(node.key)
     return node
 
 
@@ -316,18 +292,10 @@ def resolution_tree(
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-    run = _Expansion(prune_below_index, memoize, max_depth, max_nodes, {} if memo is None else memo)
     tree = ResolutionTree(
-        _expand(run, c, 0),
-        prune_below_index,
-        memoize,
-        max_depth,
-        max_nodes,
-        run.created,
-        run.memo,
-        run.new_keys,
-        run.budget_hit,
+        prune_below_index, memoize, max_depth, max_nodes, {} if memo is None else memo
     )
-    if run.budget_hit:
+    tree.root = _expand(tree, c, 0)
+    if tree.budget_hit:
         raise BudgetExceeded(f"node budget {max_nodes} exceeded", tree=tree)
     return tree

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations, permutations
 from math import gcd
@@ -221,3 +222,12 @@ def test_reducibility_keeps_factor_order():
     assert by_name["D_2_2"].reducibility_label == "C_{2,2} ⊕ A"
     assert by_name["D_4_15"].reducibility == ("B_2_1", "B_2_1")
     assert by_name["D_4_15"].reducibility_label == "2 B_{2,1}"
+
+
+def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("d! permutations listed for a dimension without a letter")
+
+    monkeypatch.setattr(importlib.import_module("nashcones.classify"), "permutations", unreachable)
+    with pytest.raises(ValueError, match="dimension 9"):
+        classify.__wrapped__(9, 1)

@@ -330,6 +330,13 @@ def test_enumerate_single_class():
     assert "C_{1,1}" in out
 
 
+def test_enumerate_dimension_without_letter_exit_2():
+    code, out, err = run_cli("enumerate", "--dim", "9", "--index-max", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ValueError: no class letter for dimension 9\n"
+
+
 def test_enumerate_table_lists_reducibility():
     code, out, _ = run_cli("enumerate", "--dim", "4", "--index-max", "2", "--table")
     assert code == 0

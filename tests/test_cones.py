@@ -189,6 +189,24 @@ def test_dual_extreme_rays_incidence_bitsets(case):
         assert tight == sum(1 << k for k, g in enumerate(gens) if la.dot(g, r) == 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_generator_sets(pointed=True), st.data())
+def test_extreme_generators_match_rank_rule(case, data):
+    # oracle: a generator is extreme iff the dual rays tight on it have
+    # rank d - 1
+    d, gens = case
+    triples = st.lists(st.sampled_from(gens), min_size=3, max_size=3)
+    gens = gens + [tuple(map(sum, zip(*t))) for t in data.draw(st.lists(triples, max_size=3))]
+    gens.append(tuple(map(sum, zip(*gens))))  # interior
+    prim = sorted({la.primitive(g) for g in gens})
+    pairs = _dual_extreme_rays(prim, d)
+    want = tuple(
+        g for k, g in enumerate(prim) if la.rank([w for w, t in pairs if t >> k & 1]) == d - 1
+    )
+    assert cone_from_rays(gens).rays == want
+    assert cone_from_facets(gens).facets == want
+
+
 def _two_pass_hull(c, points):
     """The hull route with a second double description over the facets of
     the homogenization cone, the oracle for the one-pass route."""

@@ -316,6 +316,18 @@ def test_lattice_index_equals_abs_det():
         assert la.lattice_index(m) == abs(la.det(m))
 
 
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=6))
+def test_independent_is_a_greedy_basis(rows):
+    rows = [tuple(r) for r in rows]
+    picked = list(la.independent(rows))
+    assert picked == sorted(set(picked))
+    assert len(picked) == la.rank(rows) == rank_fraction(rows)
+    for i, row in enumerate(rows):
+        if i not in picked:
+            before = [rows[j] for j in picked if j < i]
+            assert rank_fraction(before + [row]) == len(before)
+
+
 # ---------------------------------------------------------------- SNF
 
 
@@ -346,6 +358,13 @@ def test_snf_examples():
     s, u, v = la.snf(m)
     assert s == ((1, 0, 0), (0, 1, 0), (0, 0, 2))
     check_snf(m, s, u, v)
+    # a row-form-first alternation never ends on this one
+    m = ((0, 8, 2, 4), (-5, -4, -6, 8), (1, 2, 6, 7), (-3, 0, -5, 2), (7, 0, 7, -7))
+    s, u, v = la.snf(m)
+    assert s == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2), (0, 0, 0, 0))
+    check_snf(m, s, u, v)
+    assert la.snf(()) == ((), (), ())
+    assert la.snf(((),)) == (((),), ((1,),), ())
 
 
 def test_snf_random_properties():
@@ -371,6 +390,7 @@ def test_snf_invariant_factor_product():
 
 
 def test_kernel_basis():
+    assert la.kernel_basis(()) == ()
     rng = random.Random(10)
     for _ in range(200):
         n = rng.randint(1, 4)
