@@ -371,10 +371,12 @@ def test_text_output_deterministic_across_runs():
 
 
 def test_enumerate_table_golden_digests():
-    # full T_3 and T_4 listings: names, invariants, presentations, labels
+    # full T_3 and T_4 listings, and dimension 5 up to index 6 (labels of up
+    # to five factors): names, invariants, presentations, labels
     for dim, top, lines, digest in (
         ("3", "27", 1602, "4274da56d3a69df5c3a57aff4faf54fefc85274adba038e11689209e564a4e19"),
         ("4", "8", 201, "3d3dc54b9624f367184f0587e0b083a54378db951950ff1c67debb312a09a366"),
+        ("5", "6", 165, "35f98206f392eef0b34e29ddf1065d206e7439fa5b99c53ac20ebad522fce7df"),
     ):
         code, out, _ = run_cli("enumerate", "--dim", dim, "--index-max", top, "--table")
         assert code == 0
