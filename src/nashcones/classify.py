@@ -165,10 +165,7 @@ def classify(d, idx):
         pending.discard(m)
         cone = simplicial_cone(m)
         factors = direct_sum_decompose(cone)
-        if len(factors) == 1:
-            reducibility = ()
-        else:
-            reducibility = tuple(_factor_name(f) for f in factors)
+        reducibility = tuple(_factor_name(f) for f in factors) if len(factors) > 1 else ()
         name = f"{letter}_{idx}_{len(classes) + 1}"
         istar = abs(la.det(cone.rays))
         classes.append(ConeClass(name, d, idx, istar, m, reducibility, cone))

@@ -106,6 +106,8 @@ def _cmd_resolve(args):
 
 
 def _cmd_enumerate(args):
+    if args.index_max < 1:
+        raise ValueError("--index-max must be at least 1")
     if args.table:
         for i in range(1, args.index_max + 1):
             for cls in classify(args.dim, i):

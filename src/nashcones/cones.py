@@ -321,50 +321,52 @@ def canonical_key(c) -> bytes:
 # sums
 
 
-def _split_once(c):
-    d = c.dim
-    rays = c.rays
-    n = len(rays)
-    if d <= 1 or n <= 1:
-        return None
-    rest = range(1, n)
-    for size in range(0, n - 1):
-        for extra in combinations(rest, size):
-            part1 = [rays[0]] + [rays[i] for i in extra]
-            chosen = {0, *extra}
-            part2 = [rays[i] for i in rest if i not in chosen]
-            # k1, k2: saturated bases of the annihilators of the two spans.
-            # Z^d splits along the spans iff the projection onto span(part1)
-            # along span(part2) is integral, iff its transpose (Z^d* onto
-            # span(k2) along span(k1)) is, iff k2 + k1 is a basis of Z^d*:
-            # d rows with |det| 1. Then k2 . r are the coordinates of r in
-            # a lattice basis of span(part1), and k1 . r likewise for part2.
-            k1 = la.kernel_basis(part1)
-            k2 = la.kernel_basis(part2)
-            if len(k1) + len(k2) != d or abs(la.det(k2 + k1)) != 1:
-                continue
-            c1 = cone_from_rays([la.mat_vec(k2, r) for r in part1])
-            c2 = cone_from_rays([la.mat_vec(k1, r) for r in part2])
-            return c1, c2
-    return None
-
-
 def direct_sum_decompose(c):
     """Finest decomposition of c as a lattice direct sum of lower cones.
 
     Returns the indecomposable factors (each in coordinates of a lattice
     basis of its span), sorted by decreasing dimension then index; a
     singleton list when c is irreducible.
+
+    Every split partitions the rays of a basis b, the first d independent
+    rays, so it is a set s of basis positions. With D = det b and a = adj b, x = (x a) b / D,
+    and s splits Z^d iff every ray's support in x a lies inside s or
+    outside it and the projection a diag(1_s) b / D onto span(s) along the
+    rest is integral. Splitting sets are closed under complement and
+    intersection, so the factors are the atoms: the smallest splitting set
+    holding the first unplaced position, found by size.
     """
+    d = c.dim
+    b = [c.rays[i] for i in islice(la.independent(c.rays), d)]
+    big_d = la.det(b)
+    a = la.adjugate(b)
+    supports = [sum(1 << j for j, x in enumerate(la.vec_mat(r, a)) if x) for r in c.rays]
 
-    def factors(cone):
-        split = _split_once(cone)
-        if split is None:
-            return [cone]
-        c1, c2 = split
-        return factors(c1) + factors(c2)
+    def projection(s):  # D * p_s
+        return [[sum(a[i][j] * b[j][k] for j in s) for k in range(d)] for i in range(d)]
 
-    found = factors(c)
-    if len(found) == 1:
-        return found
-    return sorted(found, key=lambda f: (-f.dim, index(f), canonical_key(f)))
+    def splits(s):
+        mask = sum(1 << j for j in s)
+        return all(t & mask in (0, t) for t in supports) and not any(
+            x % big_d for row in projection(s) for x in row
+        )
+
+    atoms, rest = [], list(range(d))
+    while rest:
+        found = ((rest[0], *x) for n in range(len(rest) - 1) for x in combinations(rest[1:], n))
+        atom = next((s for s in found if splits(s)), rest)
+        atoms.append(atom)
+        rest = [j for j in rest if j not in atom]
+    if len(atoms) == 1:
+        return [c]
+
+    factors = []
+    for s in atoms:
+        mask = sum(1 << j for j in s)
+        # the columns of p_s span the integer functionals vanishing on the
+        # rest, so their Hermite basis gives lattice coordinates on span(s)
+        p = la.transpose([[x // big_d for x in row] for row in projection(s)])
+        k = [row for row in la.row_hnf(p) if any(row)]
+        part = [r for r, t in zip(c.rays, supports) if t & mask]
+        factors.append(cone_from_rays([la.mat_vec(k, r) for r in part]))
+    return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))

@@ -2,8 +2,8 @@
 
 Candidates come from the fundamental parallelepipeds of a placing
 triangulation (enumerated through the Hermite normal form of each ray
-matrix); a single global reduction pass keeps exactly the indecomposable
-elements.
+matrix); one reduction pass in degree order, against the elements kept so
+far, keeps exactly the indecomposable ones.
 """
 
 from __future__ import annotations
@@ -94,29 +94,20 @@ def hilbert_basis(c):
     """Hilbert basis of the semigroup of lattice points of c.
 
     Candidates are the primitive rays plus all parallelepiped points over a
-    placing triangulation; an element is kept iff subtracting any other
-    nonzero candidate leaves the cone.
+    placing triangulation. In order of degree, the sum of the facet values
+    (positive on c minus 0), h is kept iff h - k leaves c, that is its
+    facet values do not dominate k's entry by entry, for every k kept
+    before it (Bruns-Ichim, J. Algebra 2010).
     """
     zero = (0,) * c.dim
     candidates = set(c.rays)
     for piece in triangulate(c):
         candidates.update(parallelepiped_points(piece))
     candidates.discard(zero)
-    ordered = sorted(candidates, key=_sort_key)
-    facets = c.facets
+    values = {v: tuple(la.dot(f, v) for f in c.facets) for v in candidates}
 
-    def in_cone(v):
-        return all(la.dot(f, v) >= 0 for f in facets)
-
-    kept = []
-    for h in ordered:
-        decomposable = False
-        for other in ordered:
-            if other is h or other == h:
-                continue
-            if in_cone(la.vsub(h, other)):
-                decomposable = True
-                break
-        if not decomposable:
-            kept.append(h)
-    return HilbertBasis(c, tuple(kept))
+    kept = []  # (element, facet values)
+    for h in sorted(candidates, key=lambda v: (sum(values[v]), v)):
+        if not any(all(x >= y for x, y in zip(values[h], low)) for _, low in kept):
+            kept.append((h, values[h]))
+    return HilbertBasis(c, tuple(sorted((h for h, _ in kept), key=_sort_key)))

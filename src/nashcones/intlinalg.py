@@ -7,7 +7,8 @@ functions here are pure.
 Besides the determinant, two eliminations carry the kernel: the greedy
 fraction-free echelon of :func:`independent` (rank, and every greedy
 basis the other modules pick) and the Hermite form :func:`row_hnf`
-(column forms, lattice indices, Smith forms and integer kernels).
+(column forms, lattice indices and Smith forms). Adjugates come from
+cofactor normals; ``cones`` reads direct sums off a ray basis's adjugate.
 """
 
 from __future__ import annotations
@@ -125,20 +126,18 @@ def det(m) -> int:
 
 
 def adjugate(m) -> Mat:
-    """Adjugate matrix: m @ adjugate(m) == det(m) * identity."""
+    """Adjugate matrix: m @ adjugate(m) == det(m) * identity.
+
+    Column i is the cofactor normal of the other rows, signed so that row
+    i of m takes the value det(m) on it.
+    """
+    m = mat(m)
     n = len(m)
     if any(len(row) != n for row in m):
         raise NotSquare("adjugate requires a square matrix")
     if det(m) == 0:
         raise Singular("adjugate of a singular matrix")
-    if n == 1:
-        return ((1,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return mat(adj)
+    return transpose([scale(normal(m[:i] + m[i + 1 :], n), (-1) ** (n - 1 - i)) for i in range(n)])
 
 
 def normal(rows, d) -> Vec:
@@ -297,17 +296,3 @@ def snf(m):
         i, j = offender
         a = a[:i] + (vadd(a[i], a[j]),) + a[i + 1 :]
         u = u[:i] + (vadd(u[i], u[j]),) + u[i + 1 :]
-
-
-def kernel_basis(m):
-    """Basis rows of the integer kernel {x in Z^d : m @ x == 0}.
-
-    The rows of the Hermite form of [m^T | I] whose m^T block is zero, read
-    in the identity block. That block records a unimodular transform, so
-    the basis is saturated: every integer vector of the rational kernel is
-    an integer combination of it. Direct-sum splitting in ``cones`` relies
-    on this.
-    """
-    d = len(m[0]) if m else 0
-    h, t = _hnf_augmented(transpose(m), identity(d))
-    return tuple(row for hrow, row in zip(h, t) if not any(hrow))

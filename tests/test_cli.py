@@ -337,6 +337,15 @@ def test_enumerate_dimension_without_letter_exit_2():
     assert err == "error: ValueError: no class letter for dimension 9\n"
 
 
+def test_enumerate_index_max_below_one_exit_2():
+    # also when the dimension is bad: the index bound is checked first
+    for dim in ("3", "0"):
+        code, out, err = run_cli("enumerate", "--dim", dim, "--index-max", "0")
+        assert code == 2, dim
+        assert out == ""
+        assert err == "error: ValueError: --index-max must be at least 1\n"
+
+
 def test_enumerate_table_lists_reducibility():
     code, out, _ = run_cli("enumerate", "--dim", "4", "--index-max", "2", "--table")
     assert code == 0

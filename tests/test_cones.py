@@ -172,8 +172,8 @@ def _brute_dual_rays(gens, d):
     for sub in combinations(sorted(set(gens)), d - 1):
         if la.rank(sub) != d - 1:
             continue
-        (k,) = la.kernel_basis(list(sub))
-        for u in (la.primitive(k), la.scale(la.primitive(k), -1)):
+        k = la.primitive(la.normal(sub, d))
+        for u in (k, la.scale(k, -1)):
             if all(la.dot(g, u) >= 0 for g in gens):
                 rays.add(u)
     return sorted(rays)
@@ -584,6 +584,52 @@ def test_decompose_nonsimplicial_invariant_under_unimodular_maps():
     rng = random.Random(22)
     for _ in range(5):
         assert summary(apply_unimodular(random_unimodular(rng, 5), c)) == (shape, keys)
+
+
+@st.composite
+def _small_cones(draw, d):
+    """A proper cone in Z^d on at most five generators, simplicial or not."""
+    vec = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    w = draw(vec)
+    gens = draw(st.lists(vec, min_size=d, max_size=5))
+    gens = [v if la.dot(w, v) > 0 else la.scale(v, -1) for v in gens if la.dot(w, v)]
+    assume(len(gens) >= d and la.rank(gens) == d)
+    return cone_from_rays(gens)
+
+
+@st.composite
+def _direct_sums(draw):
+    """(c1, c2, u): proper cones of total dimension at most 4 and a
+    unimodular u of that dimension, a product of elementary row moves."""
+    d1 = draw(st.integers(1, 3))
+    d2 = draw(st.integers(1, 4 - d1))
+    d = d1 + d2
+    u = [list(row) for row in la.identity(d)]
+    row = st.integers(0, d - 1)
+    moves = st.tuples(row, row, st.integers(-3, 3), st.booleans())
+    for i, j, q, flip in draw(st.lists(moves, max_size=10)):
+        if i != j:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if flip:
+            u[i] = [-x for x in u[i]]
+    return draw(_small_cones(d1)), draw(_small_cones(d2)), la.mat(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_direct_sums())
+def test_decompose_image_of_direct_sum(case):
+    # the factors of U (c1 + c2) are those of c1 and of c2, up to GL(d,Z)
+    c1, c2, u = case
+    pad1, pad2 = (0,) * c1.dim, (0,) * c2.dim
+    c = cone_from_rays([r + pad2 for r in c1.rays] + [pad1 + r for r in c2.rays])
+
+    def summary(factors):
+        return sorted(
+            (f.dim, len(f.rays), index(f), dual_index(f), canonical_key(f)) for f in factors
+        )
+
+    want = summary(direct_sum_decompose(c1) + direct_sum_decompose(c2))
+    assert summary(direct_sum_decompose(apply_unimodular(u, c))) == want
 
 
 # ---------------------------------------------------------------- misc

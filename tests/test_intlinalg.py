@@ -384,24 +384,3 @@ def test_snf_invariant_factor_product():
         m = random_nonsingular(rng, n, bound=9)
         s, _, _ = la.snf(m)
         assert prod(s[i][i] for i in range(n)) == abs(la.det(m))
-
-
-# ---------------------------------------------------------------- kernel
-
-
-def test_kernel_basis():
-    assert la.kernel_basis(()) == ()
-    rng = random.Random(10)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        d = rng.randint(1, 5)
-        m = random_matrix(rng, n, d, bound=6)
-        basis = la.kernel_basis(m)
-        assert len(basis) == d - la.rank(m)
-        for b in basis:
-            assert la.mat_vec(m, b) == tuple([0] * n)
-        if basis:
-            assert la.rank(basis) == len(basis)
-            # saturated: every invariant factor of the basis matrix is 1
-            s, _, _ = la.snf(basis)
-            assert all(s[i][i] == 1 for i in range(len(basis)))

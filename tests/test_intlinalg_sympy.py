@@ -4,8 +4,6 @@ The runtime stays stdlib-only; this module is skipped where sympy is not
 installed.
 """
 
-from math import gcd, lcm
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -42,27 +40,6 @@ def test_snf_diagonal_matches_invariant_factors(m):
     s, _, _ = la.snf(m)
     diag = [s[i][i] for i in range(min(len(m), len(m[0])))]
     assert diag == [int(x) for x in invariant_factors(sympy.Matrix(m))]
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices(max_rows=4))
-def test_kernel_basis_spans_sympy_nullspace(m):
-    basis = la.kernel_basis(m)
-    nullspace = sympy.Matrix(m).nullspace()
-    assert len(basis) == len(nullspace)
-    if not basis:
-        return
-    bt = sympy.Matrix(basis).T
-    for v in nullspace:
-        # scale the rational nullspace vector to a primitive integer vector
-        den = lcm(*(int(x.q) for x in v))
-        w = [int(x * den) for x in v]
-        g = gcd(*w)
-        w = sympy.Matrix([x // g for x in w])
-        # it must be an integer combination of the (independent) basis rows
-        coeffs, params = bt.gauss_jordan_solve(w)
-        assert params.shape[0] == 0
-        assert all(c.is_integer for c in coeffs)
 
 
 @settings(max_examples=100, deadline=None)

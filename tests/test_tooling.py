@@ -2,18 +2,22 @@
 
 The benchmark's tracer wraps library functions by name; every name it
 lists must still exist, or a traced benchmark run fails. Annotations of
-public dataclasses must resolve under ``typing.get_type_hints``.
+public dataclasses must resolve under ``typing.get_type_hints``. The
+runtime imports nothing outside the standard library.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
+import sys
 import typing
 from pathlib import Path
 
 import nashcones
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_functions_exist():
@@ -33,3 +37,19 @@ def test_public_dataclass_annotations_resolve():
         obj = getattr(nashcones, name)
         if dataclasses.is_dataclass(obj):
             typing.get_type_hints(obj)
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "nashcones").glob("*.py"))
+    assert sources
+    allowed = set(sys.stdlib_module_names) | {"nashcones"}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
