@@ -165,7 +165,10 @@ def classify(d, idx):
         pending.discard(m)
         cone = simplicial_cone(m)
         factors = direct_sum_decompose(cone)
-        reducibility = tuple(_factor_name(f) for f in factors) if len(factors) > 1 else ()
+        if len(factors) == 1:
+            reducibility = ()
+        else:
+            reducibility = tuple(_factor_name(f) for f in factors)
         name = f"{letter}_{idx}_{len(classes) + 1}"
         istar = abs(la.det(cone.rays))
         classes.append(ConeClass(name, d, idx, istar, m, reducibility, cone))

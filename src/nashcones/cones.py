@@ -328,13 +328,13 @@ def direct_sum_decompose(c):
     basis of its span), sorted by decreasing dimension then index; a
     singleton list when c is irreducible.
 
-    Every split partitions the rays of a basis b, the first d independent
-    rays, so it is a set s of basis positions. With D = det b and a = adj b, x = (x a) b / D,
-    and s splits Z^d iff every ray's support in x a lies inside s or
-    outside it and the projection a diag(1_s) b / D onto span(s) along the
-    rest is integral. Splitting sets are closed under complement and
-    intersection, so the factors are the atoms: the smallest splitting set
-    holding the first unplaced position, found by size.
+    Every split partitions the rays of a basis b (the first d independent
+    rays), so it is a set s of basis positions. With D = det b and
+    a = adj b, x = (x a) b / D, and s splits Z^d iff every ray's support in
+    x a lies inside s or outside it and the projection a diag(1_s) b / D
+    onto span(s) along the rest is integral. Splitting sets are closed
+    under complement and intersection, so the factors are the atoms: the
+    smallest splitting set holding the first unplaced position, by size.
     """
     d = c.dim
     b = [c.rays[i] for i in islice(la.independent(c.rays), d)]

@@ -599,20 +599,12 @@ def _small_cones(draw, d):
 
 @st.composite
 def _direct_sums(draw):
-    """(c1, c2, u): proper cones of total dimension at most 4 and a
-    unimodular u of that dimension, a product of elementary row moves."""
+    """(c1, c2, u): proper cones of total dimension at most 4 and a random
+    unimodular u of that dimension."""
     d1 = draw(st.integers(1, 3))
     d2 = draw(st.integers(1, 4 - d1))
-    d = d1 + d2
-    u = [list(row) for row in la.identity(d)]
-    row = st.integers(0, d - 1)
-    moves = st.tuples(row, row, st.integers(-3, 3), st.booleans())
-    for i, j, q, flip in draw(st.lists(moves, max_size=10)):
-        if i != j:
-            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        if flip:
-            u[i] = [-x for x in u[i]]
-    return draw(_small_cones(d1)), draw(_small_cones(d2)), la.mat(u)
+    u = random_unimodular(draw(st.randoms(use_true_random=False)), d1 + d2)
+    return draw(_small_cones(d1)), draw(_small_cones(d2)), u
 
 
 @settings(max_examples=100, deadline=None)
