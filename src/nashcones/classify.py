@@ -6,9 +6,10 @@ duplicates under row permutation + unimodular column action yields one
 representative per equivalence class.
 
 The HNF presentations of the class of ``m`` are exactly the column HNFs
-of the d! row permutations of ``m``. :func:`classify` walks the sorted
-enumeration once: a matrix not yet marked starts a new class (and is the
-lex-least member of it), and marks the rest of its orbit.
+of the d! row permutations of ``m``: the images :func:`intlinalg.hnf_images`
+lists. :func:`classify` walks the sorted enumeration once: a matrix not
+yet marked starts a new class (and is the lex-least member of it, so a
+factor is named by its least image), and marks the rest of its orbit.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import Cone, direct_sum_decompose, dual_index, equivalent, simplicial_cone
+from .cones import Cone, direct_sum_decompose, index as cone_index, simplicial_cone
 
 _LETTERS = "ABCDEFGH"
 
@@ -145,14 +146,13 @@ def classify(d, idx):
     lexicographic order of the lex-least HNF presentation in each class.
     Reducibility lists the direct-sum factor names, or () if irreducible.
     """
-    letter = _letter(d)  # before the d! permutations below are listed
+    letter = _letter(d)  # before any d!-sized orbit search starts
     if d == 1:
         if idx != 1:
             return ()
         cone = Cone(1, ((1,),), ((1,),))
         return (ConeClass("A", 1, 1, 1, ((1,),), (), cone),)
 
-    perms = list(permutations(range(d)))
     classes = []
     # HNFs in the orbit of a kept class that the walk has not reached yet;
     # each comes up exactly once, so it is dropped when it does.
@@ -161,7 +161,7 @@ def classify(d, idx):
         if m in pending:
             pending.remove(m)
             continue
-        pending.update(la.column_hnf(tuple(m[i] for i in perm)) for perm in perms)
+        pending.update(la.hnf_images(m))
         pending.discard(m)
         cone = simplicial_cone(m)
         factors = direct_sum_decompose(cone)
@@ -178,10 +178,9 @@ def classify(d, idx):
 def _factor_name(f):
     if f.dim == 1:
         return "A"
-    from .cones import index as cone_index
-
+    least = min(la.hnf_images(f.facets))
     for cls in classify(f.dim, cone_index(f)):
-        if equivalent(cls.cone, f):
+        if cls.presentation == least:
             return cls.name
     raise AssertionError("factor not found in its classification table")
 

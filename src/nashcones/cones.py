@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from operator import and_
 
 from . import intlinalg as la
@@ -293,8 +293,8 @@ def canonical_key(c) -> bytes:
 
     Within the invariant bucket (d, ray count, facet count, I, I*), the key
     is the lexicographic minimum, over ordered bases drawn from the smaller
-    of the two generator sets, of the column-HNF-normalized row-sorted
-    generator matrix.
+    of the two generator sets, of the row-sorted generator matrix brought
+    into column HNF on that basis (:func:`intlinalg.hnf_images`).
     """
     if c._key is not None:
         return c._key
@@ -304,15 +304,7 @@ def canonical_key(c) -> bytes:
         best = tuple(sorted(la.identity(d)))
     else:
         rows = c.rays if len(c.rays) <= len(c.facets) else c.facets
-        # row_hnf fixes every pivot, and so the whole transform, inside the
-        # nonsingular basis block and stops once all d rows hold one: the
-        # rows below the block come out as rows @ u for the u that puts the
-        # basis in column HNF.
-        best = min(
-            tuple(sorted(la.column_hnf(basis + rows)[d:]))
-            for basis in permutations(rows, d)
-            if la.det(basis)
-        )
+        best = min(tuple(sorted(h)) for h in la.hnf_images(rows))
     c._key = repr((bucket, best)).encode()
     return c._key
 

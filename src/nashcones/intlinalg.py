@@ -7,8 +7,9 @@ functions here are pure.
 Besides the determinant, two eliminations carry the kernel: the greedy
 fraction-free echelon of :func:`independent` (rank, and every greedy
 basis the other modules pick) and the Hermite form :func:`row_hnf`
-(column forms, lattice indices and Smith forms). Adjugates come from
-cofactor normals; ``cones`` reads direct sums off a ray basis's adjugate.
+(column forms, lattice indices and Smith forms), whose column step
+:func:`hnf_images` runs as the one GL(d,Z) orbit search. Adjugates come
+from cofactor normals; ``cones`` reads direct sums off a ray basis's adjugate.
 """
 
 from __future__ import annotations
@@ -185,6 +186,26 @@ def _sub_row(rows, i, j, q):
         rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
 
 
+def _pivot(a, r, c):
+    """Column c's step of :func:`row_hnf` at row r, on row lists in place;
+    False, leaving a alone, when the column is zero from row r down."""
+    rest, below = range(r, len(a)), range(r + 1, len(a))
+    if not any(a[i][c] for i in rest):
+        return False
+    while True:
+        i0 = min((i for i in rest if a[i][c]), key=lambda i: abs(a[i][c]))
+        a[r], a[i0] = a[i0], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in below:
+            _sub_row(a, i, r, a[i][c] // a[r][c])
+        if not any(a[i][c] for i in below):
+            break
+    for i in range(r):
+        _sub_row(a, i, r, a[i][c] // a[r][c])
+    return True
+
+
 def row_hnf(m):
     """Row-style Hermite form h of m, equal to u @ m for some unimodular u.
 
@@ -192,36 +213,30 @@ def row_hnf(m):
     pivot reduced into [0, pivot). The row lattice of h equals that of m.
     """
     a = [list(row) for row in m]
-    n = len(a)
-    if n == 0:
-        return ()
-    cols = len(a[0])
     r = 0
-    for c in range(cols):
-        if r == n:
-            break
-        if all(a[i][c] == 0 for i in range(r, n)):
-            continue
-        while True:
-            i0 = min((i for i in range(r, n) if a[i][c] != 0), key=lambda i: abs(a[i][c]))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            pivot = a[r][c]
-            done = True
-            for i in range(r + 1, n):
-                if a[i][c]:
-                    _sub_row(a, i, r, a[i][c] // pivot)
-                    if a[i][c]:
-                        done = False
-            if done:
-                break
-        pivot = a[r][c]
-        for i in range(r):
-            _sub_row(a, i, r, a[i][c] // pivot)
-        r += 1
+    for c in range(len(a[0]) if a else 0):
+        r += _pivot(a, r, c)
     return mat(a)
+
+
+def hnf_images(rows):
+    """Yield rows @ u, basis rows first, for each ordered basis among rows
+    (in lexicographic order of row indices), u putting the basis in column
+    HNF. A depth-first search of :func:`_pivot` steps on rows transposed:
+    at depth k each remaining column moves to position k, so shared prefixes
+    are eliminated once; a column with no pivot left cuts its subtree."""
+    d = len(rows[0]) if rows else 0
+
+    def search(a, k):
+        if k == d:
+            yield transpose(a)
+            return
+        for j in range(k, len(a[0])):
+            b = [row[:k] + [row[j]] + row[k:j] + row[j + 1 :] for row in a]
+            if _pivot(b, k, k):
+                yield from search(b, k + 1)
+
+    return search([list(col) for col in zip(*rows)], 0)
 
 
 def column_hnf(m):

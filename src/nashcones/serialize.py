@@ -210,6 +210,10 @@ def _record_from_entry(key, entry, prune):
 
 
 def _entry_from_record(rec) -> MemoEntry:
+    if any(type(rec[k]) is not int or rec[k] < 0 for k in ("dim", "depth", "size", "max_facets")):
+        raise ValueError("cache record counts must be non-negative ints")  # bool is not accepted
+    if rec["status"] not in ("resolved", "pruned", "budget"):
+        raise ValueError(f"unknown cache record status {rec['status']!r}")
     return MemoEntry(
         rec["dim"],
         int(rec["I"]),

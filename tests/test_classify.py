@@ -1,4 +1,3 @@
-import importlib
 import random
 from itertools import combinations, permutations
 from math import gcd
@@ -226,8 +225,8 @@ def test_reducibility_keeps_factor_order():
 
 def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("d! permutations listed for a dimension without a letter")
+        raise AssertionError("d!-sized orbit search started for a dimension without a letter")
 
-    monkeypatch.setattr(importlib.import_module("nashcones.classify"), "permutations", unreachable)
+    monkeypatch.setattr(la, "hnf_images", unreachable)
     with pytest.raises(ValueError, match="dimension 9"):
         classify.__wrapped__(9, 1)

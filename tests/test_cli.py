@@ -263,6 +263,33 @@ def test_cache_ignores_misshapen_records(tmp_path):
         assert out == want
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("depth", "1"),
+        ("size", "4"),
+        ("max_facets", True),
+        ("dim", 3.0),
+        ("depth", -1),
+        ("status", "done"),
+    ],
+)
+def test_cache_ignores_mistyped_records(tmp_path, field, value):
+    # a count that is not a non-negative int would reach the resolver's
+    # arithmetic and an unknown status means nothing: both are a corrupt tail
+    args = ("resolve", "--facets", "1 0 0; 0 1 0; 1 1 2")
+    code, want, _ = run_cli(*args)
+    assert code == 0
+    cache = tmp_path / "cache.jsonl"
+    run_cli(*args, "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    records = [dict(json.loads(line), **{field: value}) for line in lines]
+    cache.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert serialize.load_cache(str(cache), None) == {}
+    code, out, _ = run_cli(*args, "--cache", str(cache))
+    assert (code, out) == (0, want)
+
+
 def test_cache_env_override(tmp_path):
     cache = str(tmp_path / "env_cache.jsonl")
     code, _, _ = run_cli(

@@ -482,6 +482,48 @@ def test_canonical_key_nonsimplicial():
     assert canonical_key(other) != k
 
 
+def _stacked_column_hnf_key(c):
+    """canonical_key as first written: one stacked column HNF per ordered
+    basis, the bases picked out of permutations of the rows by determinant."""
+    d = c.dim
+    bucket = (d, len(c.rays), len(c.facets), index(c), dual_index(c))
+    if is_smooth(c):
+        best = tuple(sorted(la.identity(d)))
+    else:
+        rows = c.rays if len(c.rays) <= len(c.facets) else c.facets
+        best = min(
+            tuple(sorted(la.column_hnf(basis + rows)[d:]))
+            for basis in permutations(rows, d)
+            if la.det(basis)
+        )
+    return repr((bucket, best)).encode()
+
+
+@st.composite
+def _keyed_cones(draw):
+    """(c, u): a 3-D or 4-D proper cone, simplicial from d facet normals or
+    generated by :func:`_generator_sets`, and a random unimodular u of its
+    dimension."""
+    if draw(st.booleans()):
+        d = draw(st.sampled_from((3, 4)))
+        rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=d, max_size=d))
+        assume(la.det(rows) != 0)
+        c = simplicial_cone(rows)
+    else:
+        d, gens = draw(_generator_sets(pointed=True))
+        c = cone_from_rays(gens)
+    return c, random_unimodular(draw(st.randoms(use_true_random=False)), d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_keyed_cones())
+def test_canonical_key_matches_stacked_column_hnf_oracle(case):
+    c, u = case
+    img = apply_unimodular(u, c)
+    assert canonical_key(c) == _stacked_column_hnf_key(c)
+    assert canonical_key(img) == _stacked_column_hnf_key(img) == canonical_key(c)
+
+
 def test_key_equality_matches_equivalence():
     rng = random.Random(20)
     pool = []

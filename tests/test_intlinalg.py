@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd, prod
+from itertools import permutations
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given
@@ -266,6 +267,35 @@ def test_row_hnf_random_properties():
             assert all(h[i][j] == 0 for i in range(n) for j in range(i))
             assert all(h[i][i] > 0 for i in range(n))
             assert prod(h[i][i] for i in range(n)) == abs(la.det(m))
+
+
+def test_hnf_images_of_square_matrix_are_column_hnfs_of_permutations():
+    rng = random.Random(7)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        m = random_nonsingular(rng, d, bound=9)
+        images = list(la.hnf_images(m))
+        assert len(images) == factorial(d)
+        assert sorted(images) == sorted(la.column_hnf(p) for p in permutations(m))
+
+
+def test_hnf_images_count_ordered_bases_with_repeated_and_dependent_rows():
+    rng = random.Random(8)
+    for _ in range(15):
+        d = rng.randint(2, 4)
+        m = random_nonsingular(rng, d, bound=9)
+        extras = (m[0], la.vadd(m[0], m[1]), la.scale(m[1], -2), random_matrix(rng, 1, d)[0])
+        for k in range(1, len(extras) + 1):
+            rows = m + extras[:k]
+            n = len(rows)
+            bases = [p for p in permutations(range(n), d) if la.det([rows[i] for i in p])]
+            images = list(la.hnf_images(rows))
+            assert len(images) == len(bases)
+            for p, h in zip(bases, images):  # both in lexicographic order
+                basis = tuple(rows[i] for i in p)
+                rest = tuple(rows[i] for i in range(n) if i not in p)
+                assert h[:d] == la.column_hnf(basis)
+                assert h == la.column_hnf(basis + rest)
 
 
 # ---------------------------------------------------------------- normal
