@@ -3,17 +3,20 @@ sums with a recession cone, localization at vertices, lattice indices,
 unimodular equivalence, and direct-sum decomposition.
 
 A cone is always kept in dual form: primitive extreme rays plus primitive
-inward facet normals, both sorted. Both constructors, and the hull of a
-Minkowski sum, run one double description pass that carries each dual
-ray's incidence as an int bitset, so redundancy is read off that pass and
-never recomputed: a generator is extreme iff the dual rays tight on it
-share no other generator (the face rule of Fukuda-Prodon 1996). Every
-operation is exact and pure.
+inward facet normals, both sorted. Both constructors, the placing
+triangulation and the hull of a Minkowski sum share one double
+description: a seed step, then one cut step per generator, each dual ray
+carrying its incidence as an int bitset. Redundancy is read off that
+incidence and never recomputed: a generator is extreme iff the dual rays
+tight on it share no other generator (the face rule of Fukuda-Prodon
+1996). The hull keeps its state, so points added later cut it alone, and
+the same incidence gives each vertex's tangent cone: the facets through
+the vertex and the edges from it. Every operation is exact and pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, islice
 from operator import and_
@@ -61,13 +64,19 @@ class Polyhedron:
 
     Vertices are integer points (guaranteed for sums cone + hull of lattice
     points). Each inequality is (normal, offset) meaning normal . x >= offset
-    with a primitive integer normal.
+    with a primitive integer normal. ``incidence`` is (gens, pairs, extreme)
+    of the homogenization cone: its generators (0, r) for the recession
+    rays and (1, x) for the points, its dual extreme rays paired with the
+    bitset of the generators tight on each, and the bitset of its extreme
+    generators. :func:`localize` reads tangent cones off it; equality
+    ignores it.
     """
 
     dim: int
     vertices: tuple
     recession: Cone
     inequalities: tuple
+    incidence: tuple = field(default=None, compare=False, repr=False)
 
 
 # ------------------------------------------------------------------ double
@@ -90,12 +99,8 @@ def _dual_extreme_rays(gens, d):
     Returns sorted pairs (ray, tight): bit k of the int ``tight`` is set iff
     gens[k] . ray == 0. One incremental double description pass: seed with
     d linearly independent generators (a simplicial dual, each seed ray
-    tight on the other d - 1), then cut by the rest in input order. A ray
-    the cut leaves at zero gains its bit; a ray w combined from adjacent
-    rp, rn is tight on exactly their common set plus the cut, since each
-    earlier g . w = sp (g . rn) - sn (g . rp) sums two nonnegative terms.
-    Two rays are adjacent iff no third ray is tight on all of their common
-    set (Fukuda-Prodon 1996). Requires rank(gens) == d (a pointed dual).
+    tight on the other d - 1), then :func:`_dd_cut` by the rest in input
+    order. Requires rank(gens) == d (a pointed dual).
     """
     basis_idx = list(islice(la.independent(gens), d))
     if len(basis_idx) < d:
@@ -103,35 +108,54 @@ def _dual_extreme_rays(gens, d):
     basis_rows = [gens[i] for i in basis_idx]
 
     basis_mask = sum(1 << i for i in basis_idx)
-    state = [
+    pairs = [
         (ray, basis_mask ^ (1 << i)) for ray, i in zip(_opposite_rays(basis_rows, d), basis_idx)
     ]
-
     for i, a in enumerate(gens):
-        if basis_mask >> i & 1:
-            continue
-        bit = 1 << i
-        new_state, pos, neg = [], [], []
-        for r, t in state:
-            s = la.dot(a, r)
-            if s < 0:
-                neg.append((r, t, s))
-                continue
-            if s > 0:
-                pos.append((r, t, s))
-            new_state.append((r, t if s else t | bit))
-        for rp, tp, sp in pos:
-            for rn, tn, sn in neg:
-                common = tp & tn
-                if common.bit_count() < d - 2:
-                    continue
-                if sum(t & common == common for _, t in state) > 2:
-                    continue  # a third ray shares the common face: not adjacent
-                w = la.primitive(tuple(sp * y - sn * x for x, y in zip(rp, rn)))
-                new_state.append((w, common | bit))
-        state = list(dict(new_state).items())  # parallel combinations repeat a ray
+        if not basis_mask >> i & 1:
+            pairs = _dd_cut(pairs, a, 1 << i, d)
+    return sorted(pairs)
 
-    return sorted(state)
+
+def _dd_cut(pairs, a, bit, d):
+    """The double description step: the extreme rays, with incidence, of
+    the dual cut by one more generator a, whose incidence bit is ``bit``.
+
+    A ray the cut leaves at zero gains the bit; a ray w combined from
+    adjacent rp, rn is tight on exactly their common set plus the cut,
+    since each earlier g . w = sp (g . rn) - sn (g . rp) sums two
+    nonnegative terms. Two rays are adjacent iff no third ray is tight on
+    all of their common set (Fukuda-Prodon 1996). Returns a new list.
+    """
+    new_pairs, pos, neg = [], [], []
+    for r, t in pairs:
+        s = la.dot(a, r)
+        if s < 0:
+            neg.append((r, t, s))
+            continue
+        if s > 0:
+            pos.append((r, t, s))
+        new_pairs.append((r, t if s else t | bit))
+    for rp, tp, sp in pos:
+        for rn, tn, sn in neg:
+            common = tp & tn
+            if common.bit_count() < d - 2:
+                continue
+            if sum(t & common == common for _, t in pairs) > 2:
+                continue  # a third ray shares the common face: not adjacent
+            w = la.primitive(tuple(sp * y - sn * x for x, y in zip(rp, rn)))
+            new_pairs.append((w, common | bit))
+    return list(dict(new_pairs).items())  # parallel combinations repeat a ray
+
+
+def _face(pairs, members, within):
+    """The generators, as a bitset inside ``within``, of the smallest face
+    holding the generators in ``members``: those tight on every dual ray
+    of ``pairs`` tight on all of them (Fukuda-Prodon 1996). A generator k
+    is extreme iff its face is 1 << k, and two extreme generators span an
+    edge iff their face holds no third extreme one, the test
+    :func:`_dd_cut` makes on the dual side."""
+    return reduce(and_, (t for _, t in pairs if t & members == members), within)
 
 
 # ------------------------------------------------------------------ cone
@@ -143,9 +167,8 @@ def _double_description(gens, noun, low_rank, dual_low_rank):
     the extreme rays of the dual of the cone generated by gens and kept are
     the extreme primitive gens, both read off one double description.
 
-    The gens tight on every dual ray tight on gens[k] are those in the
-    smallest face containing it (Fukuda-Prodon 1996), so gens[k] is
-    extreme iff the AND of those rays' incidence masks is 1 << k."""
+    gens[k] is extreme iff the smallest face holding it holds no other
+    generator (:func:`_face`)."""
     rows = [la.vec(g) for g in gens]
     if not rows:
         raise NotProper(f"a proper cone needs at least one {noun}")
@@ -160,11 +183,7 @@ def _double_description(gens, noun, low_rank, dual_low_rank):
     if la.rank(dual) < d:
         raise NotProper(dual_low_rank)
     every = (1 << len(prim)) - 1
-    kept = [
-        g
-        for k, g in enumerate(prim)
-        if reduce(and_, (t for _, t in pairs if t >> k & 1), every) == 1 << k
-    ]
+    kept = [g for k, g in enumerate(prim) if _face(pairs, 1 << k, every) == 1 << k]
     return d, tuple(kept), dual
 
 
@@ -231,6 +250,56 @@ def is_smooth(c) -> bool:
 # localization
 
 
+class _HullDD:
+    """The double description of the homogenization cone of c + Hull(S):
+    its generators 0 x rays of c and 1 x points of S, and its dual extreme
+    rays with incidence over them. Points only ever join S, so each
+    :meth:`add` cuts the state by the new points alone."""
+
+    __slots__ = ("cone", "gens", "pairs")
+
+    def __init__(self, c, points):
+        self.cone = c
+        self.gens = tuple((0,) + r for r in c.rays) + tuple((1,) + x for x in points)
+        self.pairs = _dual_extreme_rays(self.gens, c.dim + 1)
+
+    def add(self, points):
+        """Cut by the points that are not generators yet (the face rule
+        needs the generators distinct)."""
+        for x in points:
+            g = (1,) + x
+            if g not in self.gens:
+                self.gens += (g,)
+                self.pairs = _dd_cut(self.pairs, g, 1 << len(self.gens) - 1, self.cone.dim + 1)
+
+    def polyhedron(self):
+        """c + Hull(S) read off the state: the height-zero and height-one
+        extreme generators (by the face rule) are the recession rays and
+        the vertices, and the dual rays other than x0 >= 0 the facets."""
+        c, gens, pairs = self.cone, self.gens, self.pairs
+        every = (1 << len(gens)) - 1
+        extreme = sum(1 << k for k in range(len(gens)) if _face(pairs, 1 << k, every) == 1 << k)
+        rec = [g[1:] for k, g in enumerate(gens) if extreme >> k & 1 and g[0] == 0]
+        verts = sorted(g[1:] for k, g in enumerate(gens) if extreme >> k & 1 and g[0] == 1)
+        if rec != list(c.rays):
+            raise AssertionError("recession cone does not match the input cone")
+        if not verts or not set(verts) <= {g[1:] for g in gens if g[0] == 1}:
+            raise AssertionError("hull vertex outside the input point set")
+
+        ineqs = []
+        for g, _ in pairs:
+            normal = g[1:]
+            if not any(normal):
+                continue  # the height facet x0 >= 0; no constraint on P itself
+            gcd_n = la.vec_gcd(normal)
+            offset = -g[0]
+            if offset % gcd_n != 0:
+                raise AssertionError("facet offset not divisible by normal gcd")
+            ineqs.append((tuple(x // gcd_n for x in normal), offset // gcd_n))
+
+        return Polyhedron(c.dim, tuple(verts), c, tuple(sorted(ineqs)), (gens, pairs, extreme))
+
+
 def minkowski_sum_hull(c, points):
     """The polyhedron c + Hull(points) for a finite set of lattice points.
 
@@ -242,39 +311,30 @@ def minkowski_sum_hull(c, points):
     pts = sorted({la.vec(p) for p in points})
     if not pts:
         raise ValueError("points must be nonempty")
-    d = c.dim
-    hom = cone_from_rays([(0,) + r for r in c.rays] + [(1,) + p for p in pts])
-
-    rec = [r[1:] for r in hom.rays if r[0] == 0]
-    verts = [r[1:] for r in hom.rays if r[0] == 1]
-    if len(rec) + len(verts) != len(hom.rays):
-        raise AssertionError(f"non-lattice vertex ray among {hom.rays}")
-    if rec != list(c.rays):
-        raise AssertionError("recession cone does not match the input cone")
-    if not set(verts) <= set(pts):
-        raise AssertionError("hull vertex outside the input point set")
-
-    ineqs = []
-    for g in hom.facets:
-        normal = g[1:]
-        if not any(normal):
-            continue  # the height facet x0 >= 0; no constraint on P itself
-        gcd_n = la.vec_gcd(normal)
-        offset = -g[0]
-        if offset % gcd_n != 0:
-            raise AssertionError("facet offset not divisible by normal gcd")
-        ineqs.append((tuple(x // gcd_n for x in normal), offset // gcd_n))
-
-    return Polyhedron(d, tuple(verts), c, tuple(sorted(ineqs)))
+    return _HullDD(c, pts).polyhedron()
 
 
 def localize(p, v):
-    """Cone of feasible directions at a vertex: inequalities tight at v."""
+    """Cone of feasible directions at a vertex v, read off the hull's
+    incidence: its facets are the facets of p through v, and its rays the
+    edge directions at v, primitive(w - v) for each vertex w on an edge
+    with v and each recession ray r with v + r on an edge from v. Both are
+    edges of the homogenization cone, found by :func:`_face`."""
     vv = la.vec(v)
     if vv not in p.vertices:
         raise NotAVertex(f"{vv} is not a vertex of the polyhedron")
-    tight = [n for n, b in p.inequalities if la.dot(n, vv) == b]
-    return cone_from_facets(tight)
+    if p.incidence is None:
+        raise ValueError("the polyhedron carries no incidence; build it with minkowski_sum_hull")
+    gens, pairs, extreme = p.incidence
+    k = gens.index((1,) + vv)
+    through = [(g, t) for g, t in pairs if t >> k & 1]
+    rays = []
+    for j, g in enumerate(gens):
+        edge = 1 << k | 1 << j
+        if j != k and extreme >> j & 1 and _face(through, edge, extreme) == edge:
+            rays.append(g[1:] if g[0] == 0 else la.primitive(la.vsub(g[1:], vv)))
+    facets = sorted(la.primitive(g[1:]) for g, _ in through)
+    return Cone(p.dim, tuple(sorted(rays)), tuple(facets))
 
 
 # ------------------------------------------------------------------ GL(d,Z)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from . import intlinalg as la
-from .cones import Cone, _dual_extreme_rays, dual, simplicial_cone
+from .cones import Cone, _dd_cut, _dual_extreme_rays, dual, simplicial_cone
 
 
 @dataclass(frozen=True)
@@ -28,31 +28,33 @@ def triangulate(c):
 
     Rays are inserted in sorted order (after a greedy independent seed);
     each new ray is joined to the visible boundary simplices of the cone
-    built so far. Pieces have pairwise disjoint interiors and cover c.
+    built so far. Pieces have pairwise disjoint interiors and cover c. The
+    facets of the cone built so far come from one double description of
+    the placed rays, cut by each ray once it is placed.
     """
     rays = c.rays
     d = c.dim
     if len(rays) == d:
         return [c]
 
-    seed = list(islice(la.independent(rays), d))
-    simplices = {tuple(sorted(seed))}
-    placed = sorted(seed)
+    seed = sorted(islice(la.independent(rays), d))
+    simplices = {tuple(seed)}
+    rest = [i for i in range(len(rays)) if i not in seed]
+    pairs = _dual_extreme_rays([rays[j] for j in seed], d)
 
-    for i, r in enumerate(rays):
-        if i in seed:
-            continue
-        current = [rays[j] for j in placed]
-        cur_facets = [f for f, _ in _dual_extreme_rays(current, d)]
-        visible = [f for f in cur_facets if la.dot(f, r) < 0]
+    for n, i in enumerate(rest):
+        r = rays[i]
         new_simplices = set()
-        for f in visible:
+        for f, _ in pairs:
+            if la.dot(f, r) >= 0:
+                continue  # f is not visible from r
             for simplex in simplices:
                 face = tuple(j for j in simplex if la.dot(f, rays[j]) == 0)
                 if len(face) == d - 1:
                     new_simplices.add(tuple(sorted(face + (i,))))
         simplices |= new_simplices
-        placed.append(i)
+        if n + 1 < len(rest):  # the last ray's cut would go unread
+            pairs = _dd_cut(pairs, r, 1 << d + n, d)
 
     # d independent rays: the dual of {x : rays @ x >= 0} is the piece
     return [dual(simplicial_cone([rays[j] for j in simplex])) for simplex in sorted(simplices)]

@@ -15,6 +15,7 @@ from cofactor normals; ``cones`` reads direct sums off a ray basis's adjugate.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .errors import NotFullRank, NotSquare, RankDeficient, Singular, ZeroVector
 
@@ -48,7 +49,7 @@ def primitive(v) -> Vec:
 
 
 def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def identity(d) -> Mat:

@@ -6,8 +6,10 @@ basis elements. S is never enumerated in the blow-up: for u in the dual
 cone, min u . x over S is the weight of a minimum-weight basis of the
 linear matroid on the Hilbert basis, which the greedy algorithm finds
 (Edmonds 1971), and that oracle builds C + Hull(S) by cutting planes
-(as in Emiris-Fisikopoulos-Konaxis-Penaranda, arXiv:1108.5985).
-``sum_set`` still lists S explicitly and serves as the reference.
+(as in Emiris-Fisikopoulos-Konaxis-Penaranda, arXiv:1108.5985). The
+rounds share one incremental double description of the homogenization
+cone, and the localizations are read off its incidence. ``sum_set``
+still lists S explicitly and serves as the reference.
 
 The tree expands non-smooth cones recursively, with optional pruning of
 small-index simplicial cones and memoization keyed by canonical form.
@@ -21,12 +23,12 @@ from itertools import combinations, islice
 from . import intlinalg as la
 from .cones import (
     Cone,
+    _HullDD,
     canonical_key,
     dual_index,
     index,
     is_smooth,
     localize,
-    minkowski_sum_hull,
 )
 from .errors import BudgetExceeded
 from .hilbert import HilbertBasis, hilbert_basis
@@ -74,24 +76,26 @@ def _min_weight_sum(elements, u, d):
     return tuple(map(sum, zip(*basis)))
 
 
-def _sum_hull(c):
-    """The polyhedron C + Hull S, built by cutting planes without
-    enumerating S: seed with the greedy minimizers of an interior u of C^v
-    (the sum of C's facet normals) and of each facet normal, take the
-    hull, then ask the oracle about every inequality n . x >= b of the
-    hull and add each minimizer with n . x < b, until none is violated.
-    Each round is one minkowski_sum_hull.
+def _hull_rounds(c):
+    """The polyhedron of each cutting-plane round of C + Hull S, built
+    without enumerating S: seed with the greedy minimizers of an interior
+    u of C^v (the sum of C's facet normals) and of each facet normal, then
+    ask the oracle about every inequality n . x >= b of the round's hull
+    and add each minimizer with n . x < b, until none is violated. One
+    double description of the homogenization cone serves every round:
+    a round cuts it by its new points only.
     """
     elements = hilbert_basis(c).elements
     d = c.dim
     interior = tuple(map(sum, zip(*c.facets)))
-    pts = {_min_weight_sum(elements, u, d) for u in (interior,) + c.facets}
+    hull = _HullDD(c, sorted({_min_weight_sum(elements, u, d) for u in (interior,) + c.facets}))
     checked = set()
     while True:
         # Exact: the hull of points of S lies in P, and once every
         # inequality of it holds on all of S (the oracle's minimum is not
         # below b), S and so P = C + Hull S lie in it too.
-        p = minkowski_sum_hull(c, pts)
+        p = hull.polyhedron()
+        yield p
         cuts = set()
         for n, b in p.inequalities:
             if (n, b) in checked:
@@ -101,13 +105,21 @@ def _sum_hull(c):
             if la.dot(n, x) < b:
                 cuts.add(x)
         if not cuts:
-            return p
-        pts |= cuts
+            return
+        hull.add(sorted(cuts))
+
+
+def _sum_hull(c):
+    """The polyhedron C + Hull S: the last of :func:`_hull_rounds`."""
+    for p in _hull_rounds(c):
+        pass
+    return p
 
 
 def nash_blowup(c):
     """The multiset of localizations of C + Hull S at its vertices, with
-    the polyhedron built by the greedy oracle's cutting planes."""
+    the polyhedron built by the greedy oracle's cutting planes and each
+    tangent cone read off its incidence."""
     p = _sum_hull(c)
     return tuple(localize(p, v) for v in p.vertices)
 

@@ -209,20 +209,35 @@ def _record_from_entry(key, entry, prune):
     }
 
 
+def _positive_decimal(s):
+    """Whether s is what str() writes for a positive int: ASCII digits with
+    no sign, space or leading zero."""
+    return type(s) is str and s.isascii() and s.isdigit() and s[0] != "0"
+
+
 def _entry_from_record(rec) -> MemoEntry:
-    if any(type(rec[k]) is not int or rec[k] < 0 for k in ("dim", "depth", "size", "max_facets")):
-        raise ValueError("cache record counts must be non-negative ints")  # bool is not accepted
+    dim, depth, size, max_facets = rec["dim"], rec["depth"], rec["size"], rec["max_facets"]
+    # bool is not accepted
+    if not (type(dim) is type(depth) is type(size) is type(max_facets) is int) or min(
+        dim, depth, size, max_facets
+    ) < 0:
+        raise ValueError("cache record counts must be non-negative ints")
+    if not (_positive_decimal(rec["I"]) and _positive_decimal(rec["Istar"])):
+        raise ValueError("cache record indices must be decimal strings of positive ints")
     if rec["status"] not in ("resolved", "pruned", "budget"):
         raise ValueError(f"unknown cache record status {rec['status']!r}")
+    children = rec["child_keys"]
+    if type(children) is not list:  # bytes.fromhex rejects any item but a hex str
+        raise ValueError("cache record child keys must be a list")
     return MemoEntry(
-        rec["dim"],
+        dim,
         int(rec["I"]),
         int(rec["Istar"]),
-        rec["depth"],
-        rec["size"],
-        rec["max_facets"],
+        depth,
+        size,
+        max_facets,
         rec["status"] == "pruned",
-        tuple(bytes.fromhex(k) for k in rec["child_keys"]),
+        tuple(bytes.fromhex(k) for k in children),
     )
 
 

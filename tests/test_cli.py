@@ -272,11 +272,25 @@ def test_cache_ignores_misshapen_records(tmp_path):
         ("dim", 3.0),
         ("depth", -1),
         ("status", "done"),
+        ("I", 7.9),
+        ("I", True),
+        ("I", 7),
+        ("Istar", "-3"),
+        ("Istar", "0"),
+        ("I", "+7"),
+        ("I", " 7"),
+        ("Istar", "07"),
+        ("child_keys", {}),
+        ("child_keys", {"00": "00"}),
+        ("child_keys", [0]),
+        ("child_keys", "00"),
     ],
 )
 def test_cache_ignores_mistyped_records(tmp_path, field, value):
     # a count that is not a non-negative int would reach the resolver's
-    # arithmetic and an unknown status means nothing: both are a corrupt tail
+    # arithmetic, an index must be what the writer writes (the decimal
+    # string of a positive int), child keys a list of strings, and an
+    # unknown status means nothing: each is a corrupt tail
     args = ("resolve", "--facets", "1 0 0; 0 1 0; 1 1 2")
     code, want, _ = run_cli(*args)
     assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
 from nashcones.cones import (
+    Polyhedron,
     _dual_extreme_rays,
     canonical_key,
     cone_from_facets,
@@ -25,6 +26,7 @@ from nashcones.cones import (
 from nashcones.classify import _perm_equivalent
 from nashcones.errors import NotAVertex, NotProper
 
+from oracles import localize_by_tight_facets
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, presentation
 
 
@@ -319,6 +321,47 @@ def test_localize_not_a_vertex():
     p = minkowski_sum_hull(orthant(2), [(1, 1)])
     with pytest.raises(NotAVertex):
         localize(p, (5, 5))
+
+
+def test_localize_needs_the_incidence():
+    p = minkowski_sum_hull(orthant(2), [(1, 1)])
+    bare = Polyhedron(p.dim, p.vertices, p.recession, p.inequalities)
+    assert bare == p
+    with pytest.raises(ValueError, match="incidence"):
+        localize(bare, (1, 1))
+
+
+@st.composite
+def _cones_with_points(draw):
+    """A proper cone of dimension 2-4 and a point set holding repeated
+    points and points inside the hull (a point plus a ray of the cone, or
+    the midpoint of two points); a single point is among the draws."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    bound = {2: 6, 3: 3, 4: 2}[d]
+    ray = st.tuples(*[st.integers(-bound, bound)] * (d - 1), st.integers(1, bound))
+    rays = draw(st.lists(ray, min_size=d, max_size=d + 3))
+    assume(la.rank(rays) == d)
+    c = cone_from_rays(rays)
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=6))
+    picks = st.tuples(st.integers(0, len(pts) - 1), st.integers(0, len(pts) - 1))
+    for i, j in draw(st.lists(picks, max_size=3)):
+        pts.append(pts[i])
+        pts.append(la.vadd(pts[i], c.rays[j % len(c.rays)]))
+        mid = la.vadd(pts[i], pts[j])
+        if all(x % 2 == 0 for x in mid):
+            pts.append(tuple(x // 2 for x in mid))
+    return c, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cones_with_points())
+def test_localize_from_incidence_matches_tight_facets(case):
+    # the tangent cone read off the hull's incidence equals the cone of
+    # the inequalities tight at the vertex, at every vertex
+    c, pts = case
+    p = minkowski_sum_hull(c, pts)
+    for v in p.vertices:
+        assert localize(p, v) == localize_by_tight_facets(p, v), v
 
 
 # ---------------------------------------------------------------- equivalence

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
-from nashcones.cones import cone_from_facets, cone_from_rays, is_smooth
+from nashcones.cones import (
+    _dual_extreme_rays,
+    cone_from_facets,
+    cone_from_rays,
+    dual,
+    is_smooth,
+    simplicial_cone,
+)
 from nashcones.hilbert import hilbert_basis, parallelepiped_points, triangulate
 from nashcones.surface import StdCone2D, hilbert_basis_2d
 
@@ -100,6 +109,41 @@ def test_triangulate_pieces_span_cone_rays():
             assert set(p.rays) <= ray_set
             for r in p.rays:
                 assert in_cone(c, r)
+
+
+def _triangulate_from_scratch(c):
+    """The placing triangulation with a fresh double description of the
+    placed rays before each new ray, the oracle for the incremental one."""
+    rays, d = c.rays, c.dim
+    if len(rays) == d:
+        return [c]
+    seed = list(islice(la.independent(rays), d))
+    simplices = {tuple(sorted(seed))}
+    placed = sorted(seed)
+    for i, r in enumerate(rays):
+        if i in seed:
+            continue
+        facets = [f for f, _ in _dual_extreme_rays([rays[j] for j in placed], d)]
+        new_simplices = set()
+        for f in facets:
+            if la.dot(f, r) < 0:
+                for simplex in simplices:
+                    face = tuple(j for j in simplex if la.dot(f, rays[j]) == 0)
+                    if len(face) == d - 1:
+                        new_simplices.add(tuple(sorted(face + (i,))))
+        simplices |= new_simplices
+        placed.append(i)
+    return [dual(simplicial_cone([rays[j] for j in s])) for s in sorted(simplices)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.data())
+def test_triangulate_matches_from_scratch_route(d, data):
+    ray = st.tuples(*[st.integers(-4, 4)] * (d - 1), st.integers(1, 4))
+    rays = data.draw(st.lists(ray, min_size=d, max_size=d + 5))
+    assume(la.rank(rays) == d)
+    c = cone_from_rays(rays)
+    assert triangulate(c) == _triangulate_from_scratch(c)
 
 
 # ---------------------------------------------------------------- fundamental

@@ -16,12 +16,12 @@ from nashcones.cones import (
     equivalent,
     index,
     is_smooth,
-    localize,
     minkowski_sum_hull,
 )
 from nashcones.errors import BudgetExceeded
 from nashcones.hilbert import hilbert_basis
 from nashcones.nash import (
+    _hull_rounds,
     _min_weight_sum,
     _sum_hull,
     nash_blowup,
@@ -31,6 +31,7 @@ from nashcones.nash import (
     unique_cone_count,
 )
 
+from oracles import localize_by_tight_facets
 from tabledata import DIM3_CLASSES, GOLDEN_TREES, presentation, tree_shape
 
 
@@ -104,8 +105,23 @@ def _small_cones(draw):
 
 
 def _explicit_blowup(c):
+    # the sum set listed in full and each tangent cone built from its
+    # tight inequalities: no code shared with the cutting-plane route
+    # beyond the one-shot hull
     p = minkowski_sum_hull(c, sum_set(hilbert_basis(c)))
-    return tuple(localize(p, v) for v in p.vertices)
+    return tuple(localize_by_tight_facets(p, v) for v in p.vertices)
+
+
+def _assert_rounds_are_one_shot_hulls(c):
+    # each round's polyhedron, cut from the previous round's state, equals
+    # the hull built from scratch over the points so far
+    rounds = 0
+    for p in _hull_rounds(c):
+        points = [g[1:] for g in p.incidence[0] if g[0] == 1]
+        assert p == minkowski_sum_hull(c, points)
+        assert p.recession == c
+        rounds += 1
+    assert rounds >= 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,7 +143,14 @@ def test_cutting_plane_hull_equals_explicit_sum_set_hull(case):
     assert _sum_hull(c) == minkowski_sum_hull(c, sum_set(h))
 
 
-def test_blowup_matches_explicit_path_on_bulk_subset():
+@settings(max_examples=60, deadline=None)
+@given(_small_cones())
+def test_cutting_plane_rounds_equal_one_shot_hulls(case):
+    c, _ = case
+    _assert_rounds_are_one_shot_hulls(c)
+
+
+def _bulk_subset_blowups():
     # every blow-up of the memoized trees, resolved as the bulk set does
     # (pruned at the root's index), including the non-simplicial children
     for name in ("C_4_7", "C_6_5", "D_3_5", "D_4_13", "D_4_16", "D_5_9"):
@@ -137,8 +160,18 @@ def test_blowup_matches_explicit_path_on_bulk_subset():
         while stack:
             node = stack.pop()
             if node.status == "expanded":
-                assert nash_blowup(node.cone) == _explicit_blowup(node.cone), name
+                yield name, node.cone
             stack.extend(node.children)
+
+
+def test_blowup_matches_explicit_path_on_bulk_subset():
+    for name, c in _bulk_subset_blowups():
+        assert nash_blowup(c) == _explicit_blowup(c), name
+
+
+def test_cutting_plane_rounds_on_bulk_subset():
+    for _, c in _bulk_subset_blowups():
+        _assert_rounds_are_one_shot_hulls(c)
 
 
 # ---------------------------------------------------------------- one step
