@@ -99,7 +99,6 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", help="one workload; all four when omitted")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
@@ -130,7 +129,7 @@ def main(argv=None):
         "summary": summarize(runs, args.pairs),
         "runs": runs,
     }
-    out = args.out or Path(f"BENCH_{args.label}.json")
+    out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0

@@ -264,13 +264,12 @@ class _HullDD:
         self.pairs = _dual_extreme_rays(self.gens, c.dim + 1)
 
     def add(self, points):
-        """Cut by the points that are not generators yet (the face rule
-        needs the generators distinct)."""
+        """Cut by new points: distinct, and none a generator yet (the face
+        rule needs the generators distinct). A cutting-plane round's
+        points violate the current hull, so none of them is in it."""
         for x in points:
-            g = (1,) + x
-            if g not in self.gens:
-                self.gens += (g,)
-                self.pairs = _dd_cut(self.pairs, g, 1 << len(self.gens) - 1, self.cone.dim + 1)
+            self.gens += ((1,) + x,)
+            self.pairs = _dd_cut(self.pairs, self.gens[-1], 1 << len(self.gens) - 1, self.cone.dim + 1)
 
     def polyhedron(self):
         """c + Hull(S) read off the state: the height-zero and height-one
@@ -319,12 +318,14 @@ def localize(p, v):
     incidence: its facets are the facets of p through v, and its rays the
     edge directions at v, primitive(w - v) for each vertex w on an edge
     with v and each recession ray r with v + r on an edge from v. Both are
-    edges of the homogenization cone, found by :func:`_face`."""
+    edges of the homogenization cone, found by :func:`_face`. A polyhedron
+    built without its incidence is rebuilt from its recession cone and
+    vertices, which give it exactly (it is pointed)."""
     vv = la.vec(v)
     if vv not in p.vertices:
         raise NotAVertex(f"{vv} is not a vertex of the polyhedron")
     if p.incidence is None:
-        raise ValueError("the polyhedron carries no incidence; build it with minkowski_sum_hull")
+        p = minkowski_sum_hull(p.recession, p.vertices)
     gens, pairs, extreme = p.incidence
     k = gens.index((1,) + vv)
     through = [(g, t) for g, t in pairs if t >> k & 1]

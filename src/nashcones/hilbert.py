@@ -53,8 +53,7 @@ def triangulate(c):
                 if len(face) == d - 1:
                     new_simplices.add(tuple(sorted(face + (i,))))
         simplices |= new_simplices
-        if n + 1 < len(rest):  # the last ray's cut would go unread
-            pairs = _dd_cut(pairs, r, 1 << d + n, d)
+        pairs = _dd_cut(pairs, r, 1 << d + n, d)
 
     # d independent rays: the dual of {x : rays @ x >= 0} is the piece
     return [dual(simplicial_cone([rays[j] for j in simplex])) for simplex in sorted(simplices)]

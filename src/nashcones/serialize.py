@@ -216,12 +216,8 @@ def _positive_decimal(s):
 
 
 def _entry_from_record(rec) -> MemoEntry:
-    dim, depth, size, max_facets = rec["dim"], rec["depth"], rec["size"], rec["max_facets"]
-    # bool is not accepted
-    if not (type(dim) is type(depth) is type(size) is type(max_facets) is int) or min(
-        dim, depth, size, max_facets
-    ) < 0:
-        raise ValueError("cache record counts must be non-negative ints")
+    if any(type(rec[k]) is not int or rec[k] < 0 for k in ("dim", "depth", "size", "max_facets")):
+        raise ValueError("cache record counts must be non-negative ints")  # bool is not accepted
     if not (_positive_decimal(rec["I"]) and _positive_decimal(rec["Istar"])):
         raise ValueError("cache record indices must be decimal strings of positive ints")
     if rec["status"] not in ("resolved", "pruned", "budget"):
@@ -230,12 +226,12 @@ def _entry_from_record(rec) -> MemoEntry:
     if type(children) is not list:  # bytes.fromhex rejects any item but a hex str
         raise ValueError("cache record child keys must be a list")
     return MemoEntry(
-        dim,
+        rec["dim"],
         int(rec["I"]),
         int(rec["Istar"]),
-        depth,
-        size,
-        max_facets,
+        rec["depth"],
+        rec["size"],
+        rec["max_facets"],
         rec["status"] == "pruned",
         tuple(bytes.fromhex(k) for k in children),
     )

@@ -323,12 +323,12 @@ def test_localize_not_a_vertex():
         localize(p, (5, 5))
 
 
-def test_localize_needs_the_incidence():
-    p = minkowski_sum_hull(orthant(2), [(1, 1)])
+def test_localize_without_the_incidence():
+    p = minkowski_sum_hull(orthant(2), [(2, 0), (1, 1), (0, 2)])
     bare = Polyhedron(p.dim, p.vertices, p.recession, p.inequalities)
-    assert bare == p
-    with pytest.raises(ValueError, match="incidence"):
-        localize(bare, (1, 1))
+    assert bare == p and bare.incidence is None
+    for v in p.vertices:
+        assert localize(bare, v) == localize(p, v)
 
 
 @st.composite
