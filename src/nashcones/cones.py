@@ -12,6 +12,13 @@ tight on it share no other generator (the face rule of Fukuda-Prodon
 1996). The hull keeps its state, so points added later cut it alone, and
 the same incidence gives each vertex's tangent cone: the facets through
 the vertex and the edges from it. Every operation is exact and pure.
+
+Canonical keys come from the GL(d,Z) orbit search of
+:func:`intlinalg.hnf_images`. A caller that keys many cones, such as a
+resolution tree, can hand :func:`canonical_key` a registry of the classes
+keyed so far, grouped by invariants and a fingerprint of the pairing
+matrix rays . facets^T; a cone of a registered class is recognized by the
+search cut to that class's winning basis, and takes its key unchanged.
 """
 
 from __future__ import annotations
@@ -254,20 +261,25 @@ class _HullDD:
     """The double description of the homogenization cone of c + Hull(S):
     its generators 0 x rays of c and 1 x points of S, and its dual extreme
     rays with incidence over them. Points only ever join S, so each
-    :meth:`add` cuts the state by the new points alone."""
+    :meth:`add` cuts the state by the new points alone, and a generator
+    that is not extreme never becomes extreme again: ``live``, the bitset
+    of the last read's extreme generators and the points added since, is
+    all the face rule needs to test."""
 
-    __slots__ = ("cone", "gens", "pairs")
+    __slots__ = ("cone", "gens", "pairs", "live")
 
     def __init__(self, c, points):
         self.cone = c
         self.gens = tuple((0,) + r for r in c.rays) + tuple((1,) + x for x in points)
         self.pairs = _dual_extreme_rays(self.gens, c.dim + 1)
+        self.live = (1 << len(self.gens)) - 1
 
     def add(self, points):
         """Cut by new points: distinct, and none a generator yet (the face
         rule needs the generators distinct). A cutting-plane round's
         points violate the current hull, so none of them is in it."""
         for x in points:
+            self.live |= 1 << len(self.gens)
             self.gens += ((1,) + x,)
             self.pairs = _dd_cut(self.pairs, self.gens[-1], 1 << len(self.gens) - 1, self.cone.dim + 1)
 
@@ -275,9 +287,11 @@ class _HullDD:
         """c + Hull(S) read off the state: the height-zero and height-one
         extreme generators (by the face rule) are the recession rays and
         the vertices, and the dual rays other than x0 >= 0 the facets."""
-        c, gens, pairs = self.cone, self.gens, self.pairs
-        every = (1 << len(gens)) - 1
-        extreme = sum(1 << k for k in range(len(gens)) if _face(pairs, 1 << k, every) == 1 << k)
+        c, gens, pairs, live = self.cone, self.gens, self.pairs, self.live
+        extreme = sum(
+            1 << k for k in range(len(gens)) if live >> k & 1 and _face(pairs, 1 << k, live) == 1 << k
+        )
+        self.live = extreme
         rec = [g[1:] for k, g in enumerate(gens) if extreme >> k & 1 and g[0] == 0]
         verts = sorted(g[1:] for k, g in enumerate(gens) if extreme >> k & 1 and g[0] == 1)
         if rec != list(c.rays):
@@ -349,23 +363,55 @@ def equivalent(a, b) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
-def canonical_key(c) -> bytes:
+def _sorted_rows(m):
+    return tuple(sorted(m))
+
+
+def _fingerprint(c):
+    """The sorted row profiles and the sorted column profiles of the
+    pairing matrix rays . facets^T: GL(d,Z) fixes every pairing, so only
+    the order of rows and columns can differ between equivalent cones."""
+    pairing = [[la.dot(r, f) for f in c.facets] for r in c.rays]
+    return (
+        tuple(sorted(tuple(sorted(row)) for row in pairing)),
+        tuple(sorted(tuple(sorted(col)) for col in zip(*pairing))),
+    )
+
+
+def canonical_key(c, registry=None) -> bytes:
     """Deterministic byte key, equal exactly for GL(d,Z)-equivalent cones.
 
     Within the invariant bucket (d, ray count, facet count, I, I*), the key
     is the lexicographic minimum, over ordered bases drawn from the smaller
     of the two generator sets, of the row-sorted generator matrix brought
     into column HNF on that basis (:func:`intlinalg.hnf_images`).
+
+    ``registry``, a dict owned by the caller, remembers the non-smooth
+    classes keyed so far: (bucket, :func:`_fingerprint`) maps to a list of
+    (best, basis), basis being the first d rows of an image sorting to
+    best. A cone first tries each entry of its group by the search cut to
+    that basis, and takes the entry's key if an image sorts to its best:
+    equal generator sets up to a unimodular map mean equivalent cones, and
+    an equivalent cone has the winning image itself. Otherwise the full
+    search runs and its result joins the group.
     """
     if c._key is not None:
         return c._key
     d = c.dim
     bucket = (d, len(c.rays), len(c.facets), index(c), dual_index(c))
     if is_smooth(c):
-        best = tuple(sorted(la.identity(d)))
+        best = _sorted_rows(la.identity(d))
     else:
         rows = c.rays if len(c.rays) <= len(c.facets) else c.facets
-        best = min(tuple(sorted(h)) for h in la.hnf_images(rows))
+        group = None if registry is None else registry.setdefault((bucket, _fingerprint(c)), [])
+        for best, basis in group or ():
+            if any(_sorted_rows(h) == best for h in la.hnf_images(rows, basis)):
+                break
+        else:
+            image = min(la.hnf_images(rows), key=_sorted_rows)
+            best = _sorted_rows(image)
+            if group is not None:
+                group.append((best, image[:d]))
     c._key = repr((bucket, best)).encode()
     return c._key
 

@@ -8,8 +8,9 @@ Besides the determinant, two eliminations carry the kernel: the greedy
 fraction-free echelon of :func:`independent` (rank, and every greedy
 basis the other modules pick) and the Hermite form :func:`row_hnf`
 (column forms, lattice indices and Smith forms), whose column step
-:func:`hnf_images` runs as the one GL(d,Z) orbit search. Adjugates come
-from cofactor normals; ``cones`` reads direct sums off a ray basis's adjugate.
+:func:`hnf_images` runs as the one GL(d,Z) orbit search, whole or cut to
+the images of one target basis. Adjugates come from cofactor normals;
+``cones`` reads direct sums off a ray basis's adjugate.
 """
 
 from __future__ import annotations
@@ -220,19 +221,33 @@ def row_hnf(m):
     return mat(a)
 
 
-def hnf_images(rows):
+def hnf_images(rows, basis=None):
     """Yield rows @ u, basis rows first, for each ordered basis among rows
     (in lexicographic order of row indices), u putting the basis in column
     HNF. A depth-first search of :func:`_pivot` steps on rows transposed:
     at depth k each remaining column moves to position k, so shared prefixes
-    are eliminated once; a column with no pivot left cuts its subtree."""
+    are eliminated once; a column with no pivot left cuts its subtree.
+
+    Given ``basis``, d rows, yield only the images whose first d rows equal
+    it. Later steps never touch a pivoted column (the rows they reduce by
+    are zero there), and the step leaves column j as the gcd g of its
+    entries from row k down, zeros below, and its entries above reduced
+    mod g. So a column whose step would not give basis[k] is cut before
+    it is moved or eliminated."""
     d = len(rows[0]) if rows else 0
+
+    def fits(a, k, j):
+        g = vec_gcd(row[j] for row in a[k:])
+        want = basis[k]
+        return g == want[k] and all(row[j] % g == x for row, x in zip(a[:k], want))
 
     def search(a, k):
         if k == d:
             yield transpose(a)
             return
         for j in range(k, len(a[0])):
+            if basis is not None and not fits(a, k, j):
+                continue
             b = [row[:k] + [row[j]] + row[k:j] + row[j + 1 :] for row in a]
             if _pivot(b, k, k):
                 yield from search(b, k + 1)

@@ -13,6 +13,9 @@ still lists S explicitly and serves as the reference.
 
 The tree expands non-smooth cones recursively, with optional pruning of
 small-index simplicial cones and memoization keyed by canonical form.
+Each tree keeps the class registry of :func:`cones.canonical_key`, so a
+cone whose class the tree has already keyed takes that key by a cut
+search instead of a full one.
 """
 
 from __future__ import annotations
@@ -159,7 +162,9 @@ class MemoEntry:
 @dataclass
 class ResolutionTree:
     """A resolution_tree result; its settings and running counts also steer
-    the expansion that fills it in."""
+    the expansion that fills it in. ``registry`` is the class registry of
+    :func:`cones.canonical_key` for this tree's cones: it lives and dies
+    with the tree, so no key work is shared between trees."""
 
     prune_below_index: object
     memoize: bool
@@ -170,6 +175,7 @@ class ResolutionTree:
     nodes_created: int = 1
     budget_hit: bool = False
     root: TreeNode = None
+    registry: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -212,10 +218,6 @@ def unique_cone_count(tree) -> int:
     return len(seen)
 
 
-def _child_sort_key(cone):
-    return (canonical_key(cone), cone.facets)
-
-
 def _expand(tree, cone, depth):
     # Module level and handed its tree: a nested recursive closure would
     # refer to itself through its own cell, and that cycle would keep the
@@ -225,7 +227,7 @@ def _expand(tree, cone, depth):
         index(cone),
         dual_index(cone),
         EXPANDED,
-        canonical_key(cone),
+        canonical_key(cone, tree.registry),
         max_facets=len(cone.facets),
     )
     if is_smooth(cone):
@@ -252,7 +254,9 @@ def _expand(tree, cone, depth):
         node.has_pruned = entry.has_pruned
         return node
 
-    children = sorted(nash_blowup(cone), key=_child_sort_key)
+    children = sorted(
+        nash_blowup(cone), key=lambda ch: (canonical_key(ch, tree.registry), ch.facets)
+    )
     tree.nodes_created += len(children)
     if tree.nodes_created > tree.max_nodes:
         tree.budget_hit = True

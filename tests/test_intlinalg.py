@@ -4,7 +4,7 @@ from itertools import permutations
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
@@ -296,6 +296,27 @@ def test_hnf_images_count_ordered_bases_with_repeated_and_dependent_rows():
                 rest = tuple(rows[i] for i in range(n) if i not in p)
                 assert h[:d] == la.column_hnf(basis)
                 assert h == la.column_hnf(basis + rest)
+
+
+@st.composite
+def full_rank_rows(draw):
+    """d in 2..4 and d to d + 2 small rows spanning Q^d."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d, d + 2))
+    rows = tuple(tuple(draw(st.integers(-4, 4)) for _ in range(d)) for _ in range(n))
+    assume(la.rank(rows) == d)
+    return d, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(full_rank_rows())
+def test_hnf_images_cut_to_a_basis_yield_exactly_its_images(case):
+    # the search cut to a target loses no image whose first d rows equal
+    # it and yields no other, in the full search's order
+    d, rows = case
+    images = list(la.hnf_images(rows))
+    for basis in {h[:d] for h in images} | {la.identity(d)}:
+        assert list(la.hnf_images(rows, basis)) == [h for h in images if h[:d] == basis]
 
 
 # ---------------------------------------------------------------- normal

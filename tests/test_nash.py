@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
 from nashcones.cones import (
+    Cone,
+    _fingerprint,
     canonical_key,
     cone_from_facets,
     cone_from_rays,
@@ -258,6 +260,84 @@ def test_tree_children_sorted_by_key():
     tr = resolution_tree(cone_from_facets(presentation("C_3_3")), memoize=False)
     keys = [n.key for n in tr.root.children]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------- class
+# registry
+
+
+def _fresh_key(c):
+    return canonical_key(Cone(c.dim, c.rays, c.facets))
+
+
+def _assert_tree_keys_are_fresh_keys(tree, name):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        assert node.key == _fresh_key(node.cone), name
+        stack.extend(node.children)
+
+
+def test_registry_keys_equal_fresh_keys_on_golden_trees():
+    for name in GOLDEN_TREES:
+        if name.startswith("D"):
+            for memoize in (True, False):
+                tree = resolution_tree(cone_from_facets(presentation(name)), memoize=memoize)
+                _assert_tree_keys_are_fresh_keys(tree, name)
+
+
+def test_registry_keys_equal_fresh_keys_on_bulk_subset():
+    for name in ("C_4_7", "C_6_5", "D_3_5", "D_4_13", "D_4_16", "D_5_9"):
+        c = cone_from_facets(presentation(name))
+        tree = resolution_tree(c, prune_below_index=index(c))
+        assert tree.registry  # the non-smooth nodes went through it
+        _assert_tree_keys_are_fresh_keys(tree, name)
+
+
+@pytest.mark.parametrize(
+    "rays_a, rays_b",
+    [
+        # 1/3(1,1) and 1/3(1,2), each times a ray
+        ([(0, 0, 1), (0, 3, -1), (1, 0, 0)], [(0, 0, 1), (0, 3, -2), (1, 0, 0)]),
+        # two 3-D cones met in resolution trees: b has images on a's
+        # basis, but none with a's rows, so only the leaf test parts them
+        (
+            [(0, -1, 1), (0, 3, -2), (1, 2, -2), (2, 0, -1)],
+            [(-2, 4, -1), (0, -2, 1), (1, 4, -2), (2, 1, -1)],
+        ),
+    ],
+)
+def test_registry_falls_back_on_a_shared_fingerprint(rays_a, rays_b):
+    # one bucket and one fingerprint, but not equivalent
+    a, b = cone_from_rays(rays_a), cone_from_rays(rays_b)
+    assert (len(a.facets), index(a), dual_index(a), _fingerprint(a)) == (
+        len(b.facets),
+        index(b),
+        dual_index(b),
+        _fingerprint(b),
+    )
+    registry = {}
+    ka, kb = canonical_key(a, registry), canonical_key(b, registry)
+    assert ka != kb
+    assert (ka, kb) == (_fresh_key(a), _fresh_key(b))
+    (group,) = registry.values()
+    assert len(group) == 2
+
+
+def test_registry_hit_on_a_signed_permutation_image():
+    rays = ((-2, -3, 2, 1), (-2, 3, 0, -1), (0, 0, -1, 1), (3, -5, 2, 0), (3, 1, 0, -2))
+    c = cone_from_rays(rays)
+    assert not c.is_simplicial and not is_smooth(c)
+    registry = {}
+    key = canonical_key(c, registry)
+    rng = random.Random(13)
+    for _ in range(5):
+        perm = rng.sample(range(4), 4)
+        signs = [rng.choice((-1, 1)) for _ in range(4)]
+        img = cone_from_rays([[s * r[j] for s, j in zip(signs, perm)] for r in rays])
+        assert canonical_key(img, registry) == key
+        (group,) = registry.values()
+        assert len(group) == 1  # a hit registers nothing
 
 
 def test_pruning_shapes():
