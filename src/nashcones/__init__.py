@@ -24,10 +24,8 @@ from .errors import BudgetExceeded, NotAVertex, NotProper, ZeroDenominator
 from .hilbert import HilbertBasis, hilbert_basis, parallelepiped_points, triangulate
 from .nash import ResolutionTree, nash_blowup, resolution_tree, sum_set, tree_stats
 from .classify import (
-    ClassTable,
     ConeClass,
     class_counts,
-    class_table,
     classify,
     cone_by_name,
     enumerate_hnf,
@@ -48,10 +46,8 @@ __all__ = [
     "Polyhedron",
     "HilbertBasis",
     "ResolutionTree",
-    "ClassTable",
     "ConeClass",
     "StdCone2D",
-    "class_table",
     "BudgetExceeded",
     "NotAVertex",
     "NotProper",

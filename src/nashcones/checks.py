@@ -23,7 +23,7 @@ from .cones import (
     is_smooth,
     minkowski_sum_hull,
 )
-from .nash import nash_blowup
+from .nash import nash_blowup, sum_set
 from .surface import (
     StdCone2D,
     hilbert_basis_2d,
@@ -94,24 +94,17 @@ def check_subword_denominators(q_max=100):
     return True
 
 
-def _sum_points(basis):
-    pts = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pts.add(la.vadd(basis[i], basis[j]))
-    return pts
-
-
 def check_hull_reduction(q_max=30):
     """cone + Hull(all pair sums) equals cone + Hull(consecutive sums),
     compared vertex-for-vertex and inequality-for-inequality through the
-    general kernel."""
+    general kernel. The pair sums are the sum set: two distinct primitive
+    vectors of a pointed cone are independent."""
     for p, q in standard_pairs(q_max):
         if q == 1:
             continue
         cone = cone_from_rays([(1, 0), (p, q)])
         v = hilbert_basis_2d(StdCone2D(p, q))
-        full = _sum_points(v)
+        full = sum_set(v)
         consecutive = {la.vadd(v[i], v[i + 1]) for i in range(len(v) - 1)}
         pa = minkowski_sum_hull(cone, full)
         pb = minkowski_sum_hull(cone, consecutive)
@@ -170,17 +163,14 @@ def check_full_resolution(q_max=100):
 
 def surface_suite(q_max=100):
     """The named sweeps with their published ranges scaled by q_max."""
-    checks = [
-        ("convergent identities", check_convergent_identities(2 * q_max)),
-        ("subword denominators", check_subword_denominators(q_max)),
-        ("hull reduction to consecutive sums", check_hull_reduction(min(30, q_max))),
-        ("blow-up descent", check_descent(q_max)),
-        ("fast path vs general engine", check_cross_validation(min(20, q_max))),
-        ("full resolution within q steps", check_full_resolution(q_max)),
-    ]
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return checks
+    report = []
+    _check(report, "convergent identities", check_convergent_identities(2 * q_max))
+    _check(report, "subword denominators", check_subword_denominators(q_max))
+    _check(report, "hull reduction to consecutive sums", check_hull_reduction(min(30, q_max)))
+    _check(report, "blow-up descent", check_descent(q_max))
+    _check(report, "fast path vs general engine", check_cross_validation(min(20, q_max)))
+    _check(report, "full resolution within q steps", check_full_resolution(q_max))
+    return report
 
 
 def _check(report, name, ok):

@@ -190,30 +190,6 @@ def class_counts(d, index_max):
     return [len(classify(d, i)) for i in range(1, index_max + 1)]
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    """Classification of one dimension across a range of indices."""
-
-    dim: int
-    entries: dict  # index -> tuple of ConeClass
-
-    @property
-    def reducibility(self):
-        return {
-            cls.name: cls.reducibility_label
-            for classes in self.entries.values()
-            for cls in classes
-            if cls.reducibility
-        }
-
-    def counts(self):
-        return [len(self.entries[i]) for i in sorted(self.entries)]
-
-
-def class_table(d, index_max) -> ClassTable:
-    return ClassTable(d, {i: classify(d, i) for i in range(1, index_max + 1)})
-
-
 _NAME_RE = re.compile(r"^([A-H])_(\d+)_(\d+)$")
 
 

@@ -132,8 +132,6 @@ def _cmd_hj(args):
         for v in hilbert_basis_2d(s):
             print(" ".join(str(x) for x in v))
     elif args.action == "blowup":
-        if s.is_smooth:
-            raise ValueError("cone is already smooth")
         print(" ".join(f"({c.p},{c.q})" for c in nash_blowup_2d(s)))
     else:
         steps, levels = resolve_2d(s)

@@ -261,25 +261,20 @@ class _HullDD:
     """The double description of the homogenization cone of c + Hull(S):
     its generators 0 x rays of c and 1 x points of S, and its dual extreme
     rays with incidence over them. Points only ever join S, so each
-    :meth:`add` cuts the state by the new points alone, and a generator
-    that is not extreme never becomes extreme again: ``live``, the bitset
-    of the last read's extreme generators and the points added since, is
-    all the face rule needs to test."""
+    :meth:`add` cuts the state by the new points alone."""
 
-    __slots__ = ("cone", "gens", "pairs", "live")
+    __slots__ = ("cone", "gens", "pairs")
 
     def __init__(self, c, points):
         self.cone = c
         self.gens = tuple((0,) + r for r in c.rays) + tuple((1,) + x for x in points)
         self.pairs = _dual_extreme_rays(self.gens, c.dim + 1)
-        self.live = (1 << len(self.gens)) - 1
 
     def add(self, points):
         """Cut by new points: distinct, and none a generator yet (the face
         rule needs the generators distinct). A cutting-plane round's
         points violate the current hull, so none of them is in it."""
         for x in points:
-            self.live |= 1 << len(self.gens)
             self.gens += ((1,) + x,)
             self.pairs = _dd_cut(self.pairs, self.gens[-1], 1 << len(self.gens) - 1, self.cone.dim + 1)
 
@@ -287,11 +282,9 @@ class _HullDD:
         """c + Hull(S) read off the state: the height-zero and height-one
         extreme generators (by the face rule) are the recession rays and
         the vertices, and the dual rays other than x0 >= 0 the facets."""
-        c, gens, pairs, live = self.cone, self.gens, self.pairs, self.live
-        extreme = sum(
-            1 << k for k in range(len(gens)) if live >> k & 1 and _face(pairs, 1 << k, live) == 1 << k
-        )
-        self.live = extreme
+        c, gens, pairs = self.cone, self.gens, self.pairs
+        every = (1 << len(gens)) - 1
+        extreme = sum(1 << k for k in range(len(gens)) if _face(pairs, 1 << k, every) == 1 << k)
         rec = [g[1:] for k, g in enumerate(gens) if extreme >> k & 1 and g[0] == 0]
         verts = sorted(g[1:] for k, g in enumerate(gens) if extreme >> k & 1 and g[0] == 1)
         if rec != list(c.rays):
@@ -324,6 +317,8 @@ def minkowski_sum_hull(c, points):
     pts = sorted({la.vec(p) for p in points})
     if not pts:
         raise ValueError("points must be nonempty")
+    if any(len(p) != c.dim for p in pts):
+        raise ValueError("points and cone live in different dimensions")
     return _HullDD(c, pts).polyhedron()
 
 

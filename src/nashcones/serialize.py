@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .cones import cone_from_facets
+from .cones import cone_from_facets, dual_index, index
 from .nash import MEMOIZED, PRUNED_DEPTH, PRUNED_KNOWN, MemoEntry, ResolutionTree
 
 _TEXT_MARKERS = {
@@ -91,9 +91,7 @@ def tree_from_json(text) -> ParsedNode:
         rays = tuple(tuple(int(x) for x in r) for r in obj["rays"])
         if tuple(sorted(rays)) != cone.rays:
             raise ValueError("recorded rays disagree with the facet description")
-        from .cones import dual_index as distar, index as cidx
-
-        if cidx(cone) != int(obj["I"]) or distar(cone) != int(obj["Istar"]):
+        if index(cone) != int(obj["I"]) or dual_index(cone) != int(obj["Istar"]):
             raise ValueError("recorded indices disagree with the cone")
         return ParsedNode(cone, int(obj["I"]), int(obj["Istar"]), obj["status"], [build(c) for c in obj["children"]])
 
@@ -117,15 +115,10 @@ def _group_children(children):
     non-simplicial siblings additionally merge when their subtree shapes
     coincide."""
     by_key = {}
-    order = []
     for ch in children:
-        if ch.key not in by_key:
-            by_key[ch.key] = []
-            order.append(ch.key)
-        by_key[ch.key].append(ch)
+        by_key.setdefault(ch.key, []).append(ch)
     groups = []
-    for key in order:
-        members = by_key[key]
+    for members in by_key.values():
         rep = next((m for m in members if m.status != MEMOIZED), members[0])
         groups.append([rep, len(members)])
     merged = []

@@ -194,16 +194,6 @@ def test_cone_by_name():
         cone_by_name("X-3-1")
 
 
-def test_class_table_aggregate():
-    from nashcones.classify import class_table
-
-    table = class_table(3, 4)
-    assert table.dim == 3
-    assert table.counts() == [1, 2, 4, 7]
-    assert table.reducibility["C_2_1"] == "B_{2,1} ⊕ A"
-    assert "C_2_2" not in table.reducibility
-
-
 def test_reducibility_labels():
     by_name = {cls.name: cls for i in range(1, 6) for cls in classify(4, i)}
     assert by_name["D_1_1"].reducibility_label == "4A"
@@ -217,6 +207,8 @@ def test_reducibility_keeps_factor_order():
     by_name = {cls.name: cls for d, i in ((3, 2), (4, 2), (4, 4)) for cls in classify(d, i)}
     assert by_name["C_2_1"].reducibility == ("B_2_1", "A")
     assert by_name["C_2_1"].reducibility_label == "B_{2,1} ⊕ A"
+    assert by_name["C_2_2"].reducibility == ()
+    assert by_name["C_2_2"].reducibility_label == ""
     assert by_name["D_2_2"].reducibility == ("C_2_2", "A")
     assert by_name["D_2_2"].reducibility_label == "C_{2,2} ⊕ A"
     assert by_name["D_4_15"].reducibility == ("B_2_1", "B_2_1")

@@ -401,6 +401,9 @@ def test_hj_commands():
     assert out.splitlines()[0] == "0 steps"
     code, out, _ = run_cli("hj", "2", "3", "blowup")
     assert out.strip() == "(1,3) (1,3)"
+    code, out, err = run_cli("hj", "0", "1", "blowup")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: cone is smooth; nothing to blow up\n"
     code, out, _ = run_cli("hj", "4", "7", "expand")
     assert out.strip() == "1 3 2 2"
     code, _, _ = run_cli("hj", "2", "4", "expand")
@@ -411,6 +414,18 @@ def test_verify_anomalies():
     code, out, err = run_cli("verify", "--suite", "anomalies")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_verify_tables_stdout():
+    code, out, err = run_cli("verify", "--suite", "tables")
+    assert code == 0
+    assert out == (
+        "PASS  3-D class counts, index <= 27\n"
+        "PASS  3-D total class count 1602\n"
+        "PASS  4-D class counts, index <= 8\n"
+        "PASS  4-D total class count 201\n"
+    )
+    assert err == "all 4 checks passed\n"
 
 
 def test_text_output_deterministic_across_runs():

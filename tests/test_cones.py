@@ -317,6 +317,13 @@ def test_minkowski_vertices_subset_of_points_random():
                 assert la.dot(n, v) >= b
 
 
+def test_minkowski_sum_rejects_points_of_another_dimension():
+    c = cone_from_rays([(1, 0), (0, 1)])
+    for pts in ([(1, 1), (2,)], [(1, 1, 1)], [(1, 1), (1, 1, 5)]):
+        with pytest.raises(ValueError, match="^points and cone live in different dimensions$"):
+            minkowski_sum_hull(c, pts)
+
+
 def test_localize_not_a_vertex():
     p = minkowski_sum_hull(orthant(2), [(1, 1)])
     with pytest.raises(NotAVertex):

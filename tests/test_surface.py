@@ -263,3 +263,19 @@ def test_cross_validation_sweep():
 
 def test_full_resolution_sweep():
     assert checks.check_full_resolution(40)
+
+
+SURFACE_CHECKS = [
+    "convergent identities",
+    "subword denominators",
+    "hull reduction to consecutive sums",
+    "blow-up descent",
+    "fast path vs general engine",
+    "full resolution within q steps",
+]
+
+
+def test_surface_suite_prints_one_line_per_check(capsys):
+    report = checks.surface_suite(q_max=12)
+    assert capsys.readouterr().out == "".join(f"PASS  {name}\n" for name in SURFACE_CHECKS)
+    assert report == [(name, True) for name in SURFACE_CHECKS]

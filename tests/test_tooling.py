@@ -3,13 +3,17 @@
 The benchmark's tracer wraps library functions by name; every name it
 lists must still exist, or a traced benchmark run fails. Annotations of
 public dataclasses must resolve under ``typing.get_type_hints``. The
-runtime imports nothing outside the standard library.
+runtime imports nothing outside the standard library, and README's
+library example prints what its comments say.
 """
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
+import io
+import re
 import sys
 import typing
 from pathlib import Path
@@ -53,3 +57,19 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    # each print line of README's Library block ends in a comment giving
+    # its output, with "..." standing for any text
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    promised = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert promised
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(promised)
+    for got, want in zip(printed, promised):
+        assert re.fullmatch(".*".join(map(re.escape, want.split("..."))), got), (got, want)
