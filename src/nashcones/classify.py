@@ -99,22 +99,10 @@ def enumerate_hnf(d, idx):
         raise ValueError("dimension and index must be positive")
     results = []
     for diag in _ordered_factorizations(idx, d):
-        per_row = []
-        feasible = True
-        for i, di in enumerate(diag):
-            choices = []
-            for head in product(range(di), repeat=i):
-                g = di
-                for x in head:
-                    g = gcd(g, x)
-                if g == 1:
-                    choices.append(head)
-            if not choices:
-                feasible = False
-                break
-            per_row.append(choices)
-        if not feasible:
-            continue
+        per_row = [
+            [head for head in product(range(di), repeat=i) if gcd(di, *head) == 1]
+            for i, di in enumerate(diag)
+        ]
         for combo in product(*per_row):
             rows = tuple(
                 combo[i] + (diag[i],) + (0,) * (d - 1 - i) for i in range(d)

@@ -111,7 +111,7 @@ def _cmd_enumerate(args):
     if args.table:
         for i in range(1, args.index_max + 1):
             for cls in classify(args.dim, i):
-                rows = ",".join("(" + ",".join(str(x) for x in r) + ")" for r in cls.presentation)
+                rows = ",".join(serialize._row_str(r) for r in cls.presentation)
                 label = cls.reducibility_label
                 suffix = f"  {label}" if label else ""
                 print(f"{cls.display}  [{cls.index},{cls.dual_index}]  {rows}{suffix}")

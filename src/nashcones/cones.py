@@ -261,7 +261,8 @@ class _HullDD:
     """The double description of the homogenization cone of c + Hull(S):
     its generators 0 x rays of c and 1 x points of S, and its dual extreme
     rays with incidence over them. Points only ever join S, so each
-    :meth:`add` cuts the state by the new points alone."""
+    :meth:`add` cuts the state by the new points alone; a cutting-plane
+    round reads only :meth:`inequalities`."""
 
     __slots__ = ("cone", "gens", "pairs")
 
@@ -278,10 +279,25 @@ class _HullDD:
             self.gens += ((1,) + x,)
             self.pairs = _dd_cut(self.pairs, self.gens[-1], 1 << len(self.gens) - 1, self.cone.dim + 1)
 
+    def inequalities(self):
+        """The facets of c + Hull(S), sorted: each dual ray (-b, n) other
+        than x0 >= 0 gives n . x >= b, divided by the gcd of n."""
+        ineqs = []
+        for g, _ in self.pairs:
+            normal = g[1:]
+            if not any(normal):
+                continue  # the height facet x0 >= 0; no constraint on P itself
+            gcd_n = la.vec_gcd(normal)
+            offset = -g[0]
+            if offset % gcd_n != 0:
+                raise AssertionError("facet offset not divisible by normal gcd")
+            ineqs.append((tuple(x // gcd_n for x in normal), offset // gcd_n))
+        return tuple(sorted(ineqs))
+
     def polyhedron(self):
         """c + Hull(S) read off the state: the height-zero and height-one
         extreme generators (by the face rule) are the recession rays and
-        the vertices, and the dual rays other than x0 >= 0 the facets."""
+        the vertices, and :meth:`inequalities` the facets."""
         c, gens, pairs = self.cone, self.gens, self.pairs
         every = (1 << len(gens)) - 1
         extreme = sum(1 << k for k in range(len(gens)) if _face(pairs, 1 << k, every) == 1 << k)
@@ -291,19 +307,7 @@ class _HullDD:
             raise AssertionError("recession cone does not match the input cone")
         if not verts or not set(verts) <= {g[1:] for g in gens if g[0] == 1}:
             raise AssertionError("hull vertex outside the input point set")
-
-        ineqs = []
-        for g, _ in pairs:
-            normal = g[1:]
-            if not any(normal):
-                continue  # the height facet x0 >= 0; no constraint on P itself
-            gcd_n = la.vec_gcd(normal)
-            offset = -g[0]
-            if offset % gcd_n != 0:
-                raise AssertionError("facet offset not divisible by normal gcd")
-            ineqs.append((tuple(x // gcd_n for x in normal), offset // gcd_n))
-
-        return Polyhedron(c.dim, tuple(verts), c, tuple(sorted(ineqs)), (gens, pairs, extreme))
+        return Polyhedron(c.dim, tuple(verts), c, self.inequalities(), (gens, pairs, extreme))
 
 
 def minkowski_sum_hull(c, points):

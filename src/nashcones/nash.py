@@ -6,10 +6,12 @@ basis elements. S is never enumerated in the blow-up: for u in the dual
 cone, min u . x over S is the weight of a minimum-weight basis of the
 linear matroid on the Hilbert basis, which the greedy algorithm finds
 (Edmonds 1971), and that oracle builds C + Hull(S) by cutting planes
-(as in Emiris-Fisikopoulos-Konaxis-Penaranda, arXiv:1108.5985). The
-rounds share one incremental double description of the homogenization
-cone, and the localizations are read off its incidence. ``sum_set``
-still lists S explicitly and serves as the reference.
+(as in Emiris-Fisikopoulos-Konaxis-Penaranda, arXiv:1108.5985). One
+loop keeps one incremental double description of the homogenization
+cone: each round reads its inequalities and cuts it by the violators,
+and the polyhedron is read off it once, when nothing is violated; the
+localizations come off its incidence. ``sum_set`` still lists S
+explicitly and serves as the reference.
 
 The tree expands non-smooth cones recursively, with optional pruning of
 small-index simplicial cones and memoization keyed by canonical form.
@@ -79,13 +81,13 @@ def _min_weight_sum(elements, u, d):
     return tuple(map(sum, zip(*basis)))
 
 
-def _hull_rounds(c):
-    """The polyhedron of each cutting-plane round of C + Hull S, built
-    without enumerating S: seed with the greedy minimizers of an interior
-    u of C^v (the sum of C's facet normals) and of each facet normal, then
-    ask the oracle about every inequality n . x >= b of the round's hull
-    and add each minimizer with n . x < b, until none is violated. One
-    double description of the homogenization cone serves every round:
+def _sum_hull(c):
+    """The polyhedron C + Hull S by cutting planes, without enumerating S:
+    seed with the greedy minimizers of an interior u of C^v (the sum of
+    C's facet normals) and of each facet normal, then ask the oracle about
+    every inequality n . x >= b of the hull not asked about before, and
+    cut the hull by each minimizer with n . x < b, until none is violated.
+    One double description of the homogenization cone serves every round:
     a round cuts it by its new points only.
     """
     elements = hilbert_basis(c).elements
@@ -97,10 +99,8 @@ def _hull_rounds(c):
         # Exact: the hull of points of S lies in P, and once every
         # inequality of it holds on all of S (the oracle's minimum is not
         # below b), S and so P = C + Hull S lie in it too.
-        p = hull.polyhedron()
-        yield p
         cuts = set()
-        for n, b in p.inequalities:
+        for n, b in hull.inequalities():
             if (n, b) in checked:
                 continue  # held on all of S in an earlier round
             checked.add((n, b))
@@ -108,15 +108,8 @@ def _hull_rounds(c):
             if la.dot(n, x) < b:
                 cuts.add(x)
         if not cuts:
-            return
+            return hull.polyhedron()
         hull.add(sorted(cuts))
-
-
-def _sum_hull(c):
-    """The polyhedron C + Hull S: the last of :func:`_hull_rounds`."""
-    for p in _hull_rounds(c):
-        pass
-    return p
 
 
 def nash_blowup(c):
@@ -188,7 +181,7 @@ class TreeStats:
 
 def tree_stats(tree) -> TreeStats:
     """Raw subtree statistics; memoized nodes count as fully expanded."""
-    root = tree.root if isinstance(tree, ResolutionTree) else tree
+    root = tree.root
     return TreeStats(root.depth_below, root.size, root.max_facets, root.resolved)
 
 

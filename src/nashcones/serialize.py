@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .cones import cone_from_facets, dual_index, index
-from .nash import MEMOIZED, PRUNED_DEPTH, PRUNED_KNOWN, MemoEntry, ResolutionTree
+from .nash import MEMOIZED, PRUNED_DEPTH, PRUNED_KNOWN, SMOOTH, MemoEntry
 
 _TEXT_MARKERS = {
     PRUNED_KNOWN: " (pruned)",
@@ -38,7 +38,6 @@ def render_text(tree) -> str:
     Pruned and memoized leaves carry a trailing marker so the output stays
     unambiguous; fully expanded trees match the plain convention.
     """
-    root = tree.root if isinstance(tree, ResolutionTree) else tree
     out = []
 
     def walk(node, depth):
@@ -46,7 +45,7 @@ def render_text(tree) -> str:
         for ch in node.children:
             walk(ch, depth + 1)
 
-    walk(root, 0)
+    walk(tree.root, 0)
     return "\n".join(out) + "\n"
 
 
@@ -66,8 +65,7 @@ def _node_to_obj(node):
 
 
 def render_json(tree) -> str:
-    root = tree.root if isinstance(tree, ResolutionTree) else tree
-    return json.dumps(_node_to_obj(root), indent=1) + "\n"
+    return json.dumps(_node_to_obj(tree.root), indent=1) + "\n"
 
 
 @dataclass
@@ -143,7 +141,6 @@ def render_dot(tree) -> str:
     multiplicity prefix; bundles of smooth leaves render as a circled
     count. Non-simplicial cones are double-outlined with their facet count.
     """
-    root = tree.root if isinstance(tree, ResolutionTree) else tree
     lines = ["digraph resolution {", '  node [shape=box, fontname="monospace"];']
     counter = [0]
 
@@ -168,7 +165,7 @@ def render_dot(tree) -> str:
         lines.append(f"  {nid} [{', '.join(attrs)}];")
         smooth_count = 0
         for rep, k in _group_children(node.children):
-            if rep.status == "smooth":
+            if rep.status == SMOOTH:
                 smooth_count += k
                 continue
             cid = emit(rep, k)
@@ -179,7 +176,7 @@ def render_dot(tree) -> str:
             lines.append(f"  {nid} -> {cid};")
         return nid
 
-    emit(root, 1)
+    emit(tree.root, 1)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -160,50 +160,26 @@ def hilbert_basis_2d(s) -> tuple:
     return exp.convergents
 
 
-def _consecutive_sums(v):
-    return tuple(la.vadd(v[i], v[i + 1]) for i in range(len(v) - 1))
-
-
-def _blowup_vertices(v):
-    sums = _consecutive_sums(v)
-    v0, vk = v[0], v[-1]
-    kept = []
-    for j, w in enumerate(sums):
-        d_in = v0 if j == 0 else la.vsub(w, sums[j - 1])
-        d_out = vk if j == len(sums) - 1 else la.vsub(sums[j + 1], w)
-        if _cross(d_in, d_out) != 0:
-            kept.append(w)
-    return tuple(kept)
-
-
-def consecutive_sums(s) -> tuple:
-    """The boundary generators v_i + v_{i+1} of the blow-up polyhedron."""
-    return _consecutive_sums(hilbert_basis_2d(s))
-
-
-def blowup_vertices_2d(s) -> tuple:
-    """Vertices of the blow-up polyhedron: consecutive sums minus the
-    collinear ones."""
-    return _blowup_vertices(hilbert_basis_2d(s))
-
-
 def nash_blowup_2d(s):
     """Blow up a singular standard cone; children in standard form.
 
-    Localizes the blow-up polyhedron at each boundary vertex and
-    standardizes the resulting 2-D cones.
+    The blow-up polyhedron's boundary is the chain of consecutive sums
+    v_i + v_{i+1} of the Hilbert basis v_0, ..., v_k: it comes in along
+    -v_0, steps from sum to sum by v_{i+2} - v_i, and leaves along v_k. One
+    walk over those directions finds the vertices, the sums where the
+    direction back and the direction ahead are not parallel, and
+    standardizes each tangent cone, spanned by the way back and the way
+    ahead.
     """
     if s.q <= 1:
         raise ValueError("cone is smooth; nothing to blow up")
     v = hilbert_basis_2d(s)
-    v0, vk = v[0], v[-1]
-    verts = _blowup_vertices(v)
+    steps = [la.scale(v[0], -1)] + [la.vsub(c, a) for a, c in zip(v, v[2:])] + [v[-1]]
     children = []
-    for j, w in enumerate(verts):
-        toward_prev = v0 if j == 0 else la.vsub(verts[j - 1], w)
-        toward_next = vk if j == len(verts) - 1 else la.vsub(verts[j + 1], w)
-        std, _ = standardize_rays(la.primitive(toward_prev), la.primitive(toward_next))
-        children.append(std)
+    for back, ahead in zip(steps, steps[1:]):
+        if _cross(back, ahead) != 0:
+            std, _ = standardize_rays(la.primitive(la.scale(back, -1)), la.primitive(ahead))
+            children.append(std)
     return children
 
 

@@ -11,6 +11,7 @@ from nashcones import intlinalg as la
 from nashcones.cones import (
     Cone,
     _fingerprint,
+    _HullDD,
     canonical_key,
     cone_from_facets,
     cone_from_rays,
@@ -23,7 +24,6 @@ from nashcones.cones import (
 from nashcones.errors import BudgetExceeded
 from nashcones.hilbert import hilbert_basis
 from nashcones.nash import (
-    _hull_rounds,
     _min_weight_sum,
     _sum_hull,
     nash_blowup,
@@ -114,16 +114,16 @@ def _explicit_blowup(c):
     return tuple(localize_by_tight_facets(p, v) for v in p.vertices)
 
 
-def _assert_rounds_are_one_shot_hulls(c):
-    # each round's polyhedron, cut from the previous round's state, equals
-    # the hull built from scratch over the points so far
-    rounds = 0
-    for p in _hull_rounds(c):
-        points = [g[1:] for g in p.incidence[0] if g[0] == 1]
-        assert p == minkowski_sum_hull(c, points)
-        assert p.recession == c
-        rounds += 1
-    assert rounds >= 1
+def _assert_cuts_are_one_shot_hulls(c, batches):
+    # the hull seeded with the first batch and cut by each further batch
+    # equals, after every cut, the hull built from scratch over the points
+    # so far
+    hull = _HullDD(c, batches[0])
+    points = list(batches[0])
+    for batch in batches[1:]:
+        hull.add(batch)
+        points += batch
+        assert hull.polyhedron() == minkowski_sum_hull(c, points)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,10 +146,14 @@ def test_cutting_plane_hull_equals_explicit_sum_set_hull(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_cones())
-def test_cutting_plane_rounds_equal_one_shot_hulls(case):
+@given(_small_cones(), st.data())
+def test_hull_cuts_equal_one_shot_hulls(case, data):
     c, _ = case
-    _assert_rounds_are_one_shot_hulls(c)
+    point = st.tuples(*[st.integers(-4, 4)] * c.dim)
+    points = data.draw(st.lists(point, min_size=2, max_size=8, unique=True))
+    ends = sorted(data.draw(st.sets(st.integers(1, len(points) - 1), min_size=1)))
+    bounds = [0] + ends + [len(points)]
+    _assert_cuts_are_one_shot_hulls(c, [points[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def _bulk_subset_blowups():
@@ -171,9 +175,10 @@ def test_blowup_matches_explicit_path_on_bulk_subset():
         assert nash_blowup(c) == _explicit_blowup(c), name
 
 
-def test_cutting_plane_rounds_on_bulk_subset():
+def test_hull_cuts_on_bulk_subset():
     for _, c in _bulk_subset_blowups():
-        _assert_rounds_are_one_shot_hulls(c)
+        points = sorted(sum_set(hilbert_basis(c)))
+        _assert_cuts_are_one_shot_hulls(c, [points[0::3], points[1::3], points[2::3]])
 
 
 # ---------------------------------------------------------------- one step

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -10,8 +11,6 @@ from nashcones.cones import cone_from_rays, equivalent
 from nashcones.errors import ZeroDenominator
 from nashcones.surface import (
     StdCone2D,
-    blowup_vertices_2d,
-    consecutive_sums,
     hilbert_basis_2d,
     hj_eval,
     hj_expand,
@@ -213,16 +212,27 @@ def test_basis_2d_examples():
     assert hilbert_basis_2d(StdCone2D(0, 1)) == ((1, 0), (0, 1))
 
 
-def test_consecutive_sums_figure():
-    assert consecutive_sums(StdCone2D(4, 7)) == ((2, 1), (3, 4), (5, 8), (7, 12))
-    assert blowup_vertices_2d(StdCone2D(4, 7)) == ((2, 1), (3, 4), (7, 12))
-
-
 def test_blowup_examples():
     assert nash_blowup_2d(StdCone2D(1, 2)) == [StdCone2D(0, 1), StdCone2D(0, 1)]
     assert nash_blowup_2d(StdCone2D(2, 3)) == [StdCone2D(1, 3), StdCone2D(1, 3)]
-    kids = nash_blowup_2d(StdCone2D(4, 7))
-    assert len(kids) == 3
+    assert nash_blowup_2d(StdCone2D(4, 7)) == [StdCone2D(1, 3), StdCone2D(0, 1), StdCone2D(0, 1)]
+
+
+# SHA-256 over the children of every singular standard cone with q <= 100,
+# one line per coprime pair 0 <= p < q ordered by q then p, taken before
+# the boundary was walked in one pass; never regenerate.
+BLOWUP_2D_DIGEST = "2a846aee5c462a17061c22e160a698c579e21938823162cd48e54a917233008e"
+
+
+def test_blowup_2d_digest():
+    lines = [
+        " ".join(f"({c.p},{c.q})" for c in nash_blowup_2d(StdCone2D(p, q))) + "\n"
+        for q in range(2, 101)
+        for p in range(q)
+        if gcd(p, q) == 1
+    ]
+    assert len(lines) == 3043
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == BLOWUP_2D_DIGEST
 
 
 def test_blowup_smooth_rejected():
