@@ -9,8 +9,13 @@ fraction-free echelon of :func:`independent` (rank, and every greedy
 basis the other modules pick) and the Hermite form :func:`row_hnf`
 (column forms, lattice indices and Smith forms), whose column step
 :func:`hnf_images` runs as the one GL(d,Z) orbit search, whole or cut to
-the images of one target basis. Adjugates come from cofactor normals;
-``cones`` reads direct sums off a ray basis's adjugate.
+the images of one target basis. The column step is one pass down the
+column with one exact-quotient or extended-gcd 2x2 unimodular row
+combination per row (Cohen, A Course in Computational Algebraic Number
+Theory, Alg. 2.4.5). The row Hermite form of a matrix is unique, and so
+is each image of the orbit search, so the combinations the step picks
+never show in a result. Adjugates come from cofactor normals; ``cones``
+reads direct sums off a ray basis's adjugate.
 """
 
 from __future__ import annotations
@@ -183,28 +188,56 @@ def rank(m) -> int:
     return sum(1 for _ in independent(m))
 
 
-def _sub_row(rows, i, j, q):
-    if q:
-        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
-
-
 def _pivot(a, r, c):
     """Column c's step of :func:`row_hnf` at row r, on row lists in place;
-    False, leaving a alone, when the column is zero from row r down."""
-    rest, below = range(r, len(a)), range(r + 1, len(a))
-    if not any(a[i][c] for i in rest):
+    False, leaving a alone, when the column is zero from row r down.
+
+    One pass down the column. The entry x of least absolute value from
+    row r down (the lowest such row on a tie) moves to row r, and each
+    nonzero entry y below it is cleared by one 2x2 unimodular combination
+    of the two rows: the exact quotient when x divides y; otherwise the
+    extended-gcd step, in which g = s*x + t*y takes row r to s*row_r +
+    t*row_i and row i to (x/g)*row_i - (y/g)*row_r (determinant 1), and
+    g becomes x. Then the pivot row's sign makes the pivot positive, so
+    the pivot is the gcd of the column from row r down, the entries below
+    it are zero, and the rows above are reduced into [0, pivot). The row
+    Hermite form of a matrix is unique, so the combinations chosen here
+    never show in what :func:`row_hnf` or :func:`hnf_images` return."""
+    i0, x = None, 0
+    for i in range(r, len(a)):
+        y = a[i][c]
+        if y and (not x or abs(y) < abs(x)):
+            i0, x = i, y
+    if i0 is None:
         return False
-    while True:
-        i0 = min((i for i in rest if a[i][c]), key=lambda i: abs(a[i][c]))
-        a[r], a[i0] = a[i0], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in below:
-            _sub_row(a, i, r, a[i][c] // a[r][c])
-        if not any(a[i][c] for i in below):
-            break
+    a[r], a[i0] = a[i0], a[r]
+    top = a[r]
+    for i in range(r + 1, len(a)):
+        row = a[i]
+        y = row[c]
+        if not y:
+            continue
+        if y % x == 0:
+            q = y // x
+            a[i] = [v - q * u for u, v in zip(top, row)]
+            continue
+        g, h, s0, s1, t0, t1 = x, y, 1, 0, 0, 1  # extended Euclid: g = s0*x + t0*y
+        while h:
+            q = g // h
+            g, h, s0, s1, t0, t1 = h, g - q * h, s1, s0 - q * s1, t1, t0 - q * t1
+        xg, yg = x // g, y // g
+        top, a[i] = (
+            [s0 * u + t0 * v for u, v in zip(top, row)],
+            [xg * v - yg * u for u, v in zip(top, row)],
+        )
+        x = g
+    if x < 0:
+        top, x = [-u for u in top], -x
+    a[r] = top
     for i in range(r):
-        _sub_row(a, i, r, a[i][c] // a[r][c])
+        q = a[i][c] // x
+        if q:
+            a[i] = [v - q * u for u, v in zip(top, a[i])]
     return True
 
 
@@ -230,10 +263,13 @@ def hnf_images(rows, basis=None):
 
     Given ``basis``, d rows, yield only the images whose first d rows equal
     it. Later steps never touch a pivoted column (the rows they reduce by
-    are zero there), and the step leaves column j as the gcd g of its
-    entries from row k down, zeros below, and its entries above reduced
-    mod g. So a column whose step would not give basis[k] is cut before
-    it is moved or eliminated."""
+    are zero there), and the step, one exact-quotient or extended-gcd row
+    combination per row below the pivot, leaves column j as the gcd g of
+    its entries from row k down, zeros below, and its entries above
+    reduced mod g. Other combinations could only add to the rows above
+    integer combinations of the rows from k down, which leaves those
+    residues alone, and each image is unique, as u is. So a column whose
+    step would not give basis[k] is cut before it is moved or eliminated."""
     d = len(rows[0]) if rows else 0
 
     def fits(a, k, j):
@@ -243,7 +279,7 @@ def hnf_images(rows, basis=None):
 
     def search(a, k):
         if k == d:
-            yield transpose(a)
+            yield tuple(zip(*a))
             return
         for j in range(k, len(a[0])):
             if basis is not None and not fits(a, k, j):

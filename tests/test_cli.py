@@ -2,7 +2,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +411,18 @@ def test_hj_commands():
     assert out.strip() == "1 3 2 2"
     code, _, _ = run_cli("hj", "2", "4", "expand")
     assert code == 2  # not coprime
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ("hj", "4", "7", "blowup")
+    command = [sys.executable, "-m", "nashcones", *argv]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    code, out, err = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == 0 and out.strip()
 
 
 def test_verify_anomalies():

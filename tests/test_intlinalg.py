@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nashcones import intlinalg as la
 from nashcones.errors import NotFullRank, NotSquare, RankDeficient, Singular, ZeroVector
 
@@ -317,6 +318,72 @@ def test_hnf_images_cut_to_a_basis_yield_exactly_its_images(case):
     images = list(la.hnf_images(rows))
     for basis in {h[:d] for h in images} | {la.identity(d)}:
         assert list(la.hnf_images(rows, basis)) == [h for h in images if h[:d] == basis]
+
+
+@st.composite
+def hermite_inputs(draw):
+    """An n x d matrix, n and d in 1..6, with entries in +-9 or in +-10**6,
+    sometimes with a zero column or a repeated row; n < d gives a wide one."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bound = draw(st.sampled_from((9, 10**6)))
+    m = [[draw(st.integers(-bound, bound)) for _ in range(d)] for _ in range(n)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, d - 1))
+        for row in m:
+            row[j] = 0
+    if n > 1 and draw(st.booleans()):
+        m[draw(st.integers(1, n - 1))] = list(m[0])
+    return la.mat(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermite_inputs())
+def test_hermite_forms_match_the_remainder_loop_oracle(m):
+    # the row HNF is unique, and so is each image of the orbit search: the
+    # extended-gcd step gives the remainder loop's forms, image for image
+    # and in its order, so every class registers the same basis
+    assert la.row_hnf(m) == oracles.row_hnf(m)
+    images = list(la.hnf_images(m))
+    assert images == list(oracles.hnf_images(m))
+    if images:
+        basis = images[-1][: len(m[0])]
+        assert list(la.hnf_images(m, basis)) == list(oracles.hnf_images(m, basis))
+
+
+@st.composite
+def pivot_inputs(draw):
+    """A matrix of row lists, a row r in 0..n (n itself included: a wide
+    matrix's row HNF runs out of rows) and a column c, the column sometimes
+    zero from row r down."""
+    m = [list(row) for row in draw(hermite_inputs())]
+    r, c = draw(st.integers(0, len(m))), draw(st.integers(0, len(m[0]) - 1))
+    if draw(st.booleans()):
+        for row in m[r:]:
+            row[c] = 0
+    return m, r, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_inputs())
+def test_pivot_step_contract(case):
+    # what hnf_images' cut test relies on: the pivot is the gcd of the
+    # column from row r down, zeros below it, the rows above reduced into
+    # [0, pivot) by multiples of the pivot row; False leaves a untouched
+    a, r, c = case
+    before = la.mat(a)
+    g = la.vec_gcd(row[c] for row in before[r:])
+    if not la._pivot(a, r, c):
+        assert g == 0
+        assert la.mat(a) == before
+        return
+    assert a[r][c] == g
+    assert all(row[c] == 0 for row in a[r + 1 :])
+    for new, old in zip(a[:r], before[:r]):
+        assert 0 <= new[c] < g
+        q = (old[c] - new[c]) // g
+        assert la.vsub(old, new) == la.scale(a[r], q)
+    # rows r and below span the lattice they spanned
+    assert oracles.row_hnf(a[r:]) == oracles.row_hnf(before[r:])
 
 
 # ---------------------------------------------------------------- normal
