@@ -198,7 +198,7 @@ def _pivot(a, r, c):
     of the two rows: the exact quotient when x divides y; otherwise the
     extended-gcd step, in which g = s*x + t*y takes row r to s*row_r +
     t*row_i and row i to (x/g)*row_i - (y/g)*row_r (determinant 1), and
-    g becomes x. Then the pivot row's sign makes the pivot positive, so
+    x becomes g. Then the pivot row's sign makes the pivot positive, so
     the pivot is the gcd of the column from row r down, the entries below
     it are zero, and the rows above are reduced into [0, pivot). The row
     Hermite form of a matrix is unique, so the combinations chosen here
