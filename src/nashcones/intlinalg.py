@@ -14,7 +14,9 @@ column with one exact-quotient or extended-gcd 2x2 unimodular row
 combination per row (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 2.4.5). The row Hermite form of a matrix is unique, and so
 is each image of the orbit search, so the combinations the step picks
-never show in a result. Adjugates come from cofactor normals; ``cones``
+never show in a result. The step's extended Euclid, :func:`xgcd`, is the
+package's only one: ``surface`` takes the Bezout pair of its 2-D
+standard form from it too. Adjugates come from cofactor normals; ``cones``
 reads direct sums off a ray basis's adjugate.
 """
 
@@ -38,10 +40,22 @@ def mat(rows) -> Mat:
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
+
+
+def xgcd(x, y):
+    """(g, s, t) with g = s*x + t*y and |g| = gcd(x, y), by extended Euclid.
+
+    The one extended Euclid of the package: the Hermite step's 2x2
+    combination and the 2-D standard form's Bezout pair. g takes the
+    sign the floor-division remainders leave, so callers that need a
+    positive gcd flip it.
+    """
+    g, h, s0, s1, t0, t1 = x, y, 1, 0, 0, 1
+    while h:
+        q = g // h
+        g, h, s0, s1, t0, t1 = h, g - q * h, s1, s0 - q * s1, t1, t0 - q * t1
+    return g, s0, t0
 
 
 def primitive(v) -> Vec:
@@ -221,13 +235,10 @@ def _pivot(a, r, c):
             q = y // x
             a[i] = [v - q * u for u, v in zip(top, row)]
             continue
-        g, h, s0, s1, t0, t1 = x, y, 1, 0, 0, 1  # extended Euclid: g = s0*x + t0*y
-        while h:
-            q = g // h
-            g, h, s0, s1, t0, t1 = h, g - q * h, s1, s0 - q * s1, t1, t0 - q * t1
+        g, s, t = xgcd(x, y)
         xg, yg = x // g, y // g
         top, a[i] = (
-            [s0 * u + t0 * v for u, v in zip(top, row)],
+            [s * u + t * v for u, v in zip(top, row)],
             [xg * v - yg * u for u, v in zip(top, row)],
         )
         x = g

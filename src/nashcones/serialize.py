@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
-from .cones import cone_from_facets, dual_index, index
 from .nash import MEMOIZED, PRUNED_DEPTH, PRUNED_KNOWN, SMOOTH, MemoEntry
 
 _TEXT_MARKERS = {
@@ -66,34 +64,6 @@ def _node_to_obj(node):
 
 def render_json(tree) -> str:
     return json.dumps(_node_to_obj(tree.root), indent=1) + "\n"
-
-
-@dataclass
-class ParsedNode:
-    cone: object
-    index: int
-    dual_index: int
-    status: str
-    children: list
-
-
-def tree_from_json(text) -> ParsedNode:
-    """Rebuild a tree of cones from rendered JSON.
-
-    Cones are reconstructed from their facet rows; ray sets and the index
-    pair are verified against the recorded values.
-    """
-
-    def build(obj):
-        cone = cone_from_facets([[int(x) for x in f] for f in obj["facets"]])
-        rays = tuple(tuple(int(x) for x in r) for r in obj["rays"])
-        if tuple(sorted(rays)) != cone.rays:
-            raise ValueError("recorded rays disagree with the facet description")
-        if index(cone) != int(obj["I"]) or dual_index(cone) != int(obj["Istar"]):
-            raise ValueError("recorded indices disagree with the cone")
-        return ParsedNode(cone, int(obj["I"]), int(obj["Istar"]), obj["status"], [build(c) for c in obj["children"]])
-
-    return build(json.loads(text))
 
 
 # ------------------------------------------------------------------ DOT

@@ -1,12 +1,15 @@
 """The complete 2-D theory: Hirzebruch-Jung continued fractions, closed-form
 Hilbert bases, the consecutive-sum boundary, blow-up descent, and full
-surface resolution.
+surface resolution. The standard form is closed-form too: one Bezout pair
+of the clockwise ray, from the kernel's one extended Euclid
+(:func:`intlinalg.xgcd`), and one division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import intlinalg as la
@@ -102,19 +105,6 @@ def hj_expand(x) -> HJExpansion:
     return HJExpansion(tuple(terms), _convergents(terms))
 
 
-def _ext_gcd(a, b):
-    """(x, y) with x*a + y*b == gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_x, old_y
-
-
 def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -125,25 +115,27 @@ def standardize_rays(r1, r2):
     Returns (StdCone2D, transform) with transform mapping the clockwise
     edge to (1, 0) and the other edge to (p, q). The clockwise edge is the
     one from which the other ray lies counterclockwise within a half turn.
+
+    In closed form: with r1 = (a, b) the clockwise edge and x*a + y*b = 1
+    a Bezout pair, the rows (x, y) and (-b, a) take r1 to (1, 0) and r2 to
+    (e, q) with q = cross(r1, r2) > 0; the shear subtracting k = e // q
+    times the second row from the first leaves p = e mod q. Any Bezout
+    pair gives the same transform, as only one linear map takes r1 and r2
+    to (1, 0) and (p, q). Raises ValueError for parallel or non-primitive
+    rays.
     """
-    if _cross(r1, r2) == 0:
+    q = _cross(r1, r2)
+    if q == 0:
         raise ValueError("rays are parallel")
-    if _cross(r1, r2) < 0:
-        r1, r2 = r2, r1
+    if q < 0:
+        r1, r2, q = r2, r1, -q
     a, b = r1
-    x, y = _ext_gcd(a, b)
-    if x * a + y * b < 0:
-        x, y = -x, -y
-    first = ((x, y), (-b, a))
-    if la.mat_vec(first, r1) != (1, 0):
-        raise AssertionError("clockwise edge does not map to (1, 0)")
-    e, f = la.mat_vec(first, r2)
-    if f <= 0:
-        raise AssertionError("clockwise edge selection failed")
-    g = -(e // f)
-    shear = ((1, g), (0, 1))
-    transform = la.matmul(shear, first)
-    return StdCone2D(e + g * f, f), transform
+    g, x, y = la.xgcd(a, b)
+    if abs(g) != 1 or gcd(*r2) != 1:
+        raise ValueError("rays must be primitive")
+    x, y = g * x, g * y
+    k, p = divmod(x * r2[0] + y * r2[1], q)
+    return StdCone2D(p, q), ((x + k * b, y - k * a), (-b, a))
 
 
 def standard_form_2d(c):

@@ -62,3 +62,38 @@ def hnf_images(rows, basis=None):
             h = la.transpose(row_hnf(la.transpose(stacked)))
             if basis is None or h[:d] == basis:
                 yield h
+
+
+# The two-matrix route to the 2-D standard form, the reference for
+# surface.standardize_rays, with an extended Euclid of its own.
+
+
+def _ext_gcd(a, b):
+    """(x, y) with x*a + y*b == gcd(a, b)."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_x, old_y
+
+
+def standardize_rays(r1, r2):
+    """(p, q) and the SL(2,Z) transform of the cone spanned by two
+    non-parallel primitive rays: a Bezout matrix takes the clockwise ray
+    to (1, 0), then a shear reduces the other ray's first entry mod q."""
+    if r1[0] * r2[1] - r1[1] * r2[0] < 0:
+        r1, r2 = r2, r1
+    a, b = r1
+    x, y = _ext_gcd(a, b)
+    if x * a + y * b < 0:
+        x, y = -x, -y
+    first = ((x, y), (-b, a))
+    assert la.mat_vec(first, r1) == (1, 0)
+    e, f = la.mat_vec(first, r2)
+    assert f > 0
+    shear = ((1, -(e // f)), (0, 1))
+    return (e - (e // f) * f, f), la.matmul(shear, first)

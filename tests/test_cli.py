@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from nashcones import serialize
 from nashcones.classify import classify
 from nashcones.cli import main
-from nashcones.cones import canonical_key, cone_from_facets
+from nashcones.cones import canonical_key, cone_from_facets, dual_index, index
 from nashcones.nash import resolution_tree
 
 from tabledata import GOLDEN_TREES, presentation
@@ -131,10 +132,38 @@ def test_resolve_bad_budget_exit_2(tmp_path, name, flag, value):
     assert not cache.exists()
 
 
+@dataclass
+class ParsedNode:
+    cone: object
+    index: int
+    dual_index: int
+    status: str
+    children: list
+
+
+def tree_from_json(text) -> ParsedNode:
+    """Rebuild a tree of cones from rendered JSON, for the round trip below.
+
+    Cones are reconstructed from their facet rows; ray sets and the index
+    pair are verified against the recorded values.
+    """
+
+    def build(obj):
+        cone = cone_from_facets([[int(x) for x in f] for f in obj["facets"]])
+        rays = tuple(tuple(int(x) for x in r) for r in obj["rays"])
+        if tuple(sorted(rays)) != cone.rays:
+            raise ValueError("recorded rays disagree with the facet description")
+        if index(cone) != int(obj["I"]) or dual_index(cone) != int(obj["Istar"]):
+            raise ValueError("recorded indices disagree with the cone")
+        return ParsedNode(cone, int(obj["I"]), int(obj["Istar"]), obj["status"], [build(c) for c in obj["children"]])
+
+    return build(json.loads(text))
+
+
 def test_resolve_json_round_trip():
     code, out, _ = run_cli("resolve", "--name", "C_3_3", "--format", "json", "--no-memo")
     assert code == 0
-    parsed = serialize.tree_from_json(out)
+    parsed = tree_from_json(out)
     tree = resolution_tree(cone_from_facets(presentation("C_3_3")), memoize=False)
 
     def keys(node):

@@ -4,7 +4,7 @@ from itertools import permutations
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -85,6 +85,28 @@ def test_primitive_properties(entries):
     assert la.vec_gcd(p) == 1
     g = la.vec_gcd(v)
     assert tuple(x * g for x in p) == v
+
+
+def test_vec_gcd_of_nothing_is_zero():
+    assert la.vec_gcd(()) == 0
+    assert la.vec_gcd(iter([0, -4, 6])) == 2
+    with pytest.raises(ZeroVector):
+        la.primitive(())
+
+
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+@example(0, 0)
+@example(0, 5)
+@example(-5, 0)
+@example(0, -5)
+@example(-4, 6)
+@example(4, -6)
+@example(-4, -6)
+@example(-7, 7)
+def test_xgcd_bezout_identity(x, y):
+    g, s, t = la.xgcd(x, y)
+    assert g == s * x + t * y
+    assert abs(g) == gcd(x, y)
 
 
 # ---------------------------------------------------------------- det

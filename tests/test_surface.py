@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nashcones import checks
 from nashcones.cones import cone_from_rays, equivalent
 from nashcones.errors import ZeroDenominator
@@ -201,6 +202,45 @@ def test_standard_form_transform_is_exact():
         assert images == {(1, 0), (std.p, std.q)}
         assert 0 <= std.p < std.q or (std.p, std.q) == (0, 1)
         assert gcd(std.p, std.q) == 1
+
+
+@pytest.mark.parametrize("r1, r2", [((1, 0), (0, 2)), ((1, 0), (2, 4)), ((0, 2), (1, 0))])
+def test_standard_form_rejects_a_non_primitive_counterclockwise_ray(r1, r2):
+    # the first two gave StdCone2D(0, 2) and StdCone2D(2, 4), not standard cones
+    with pytest.raises(ValueError, match="primitive"):
+        standardize_rays(r1, r2)
+
+
+@pytest.mark.parametrize("r1, r2", [((2, 0), (1, 1)), ((1, 1), (2, 0)), ((3, -6), (0, 1))])
+def test_standard_form_rejects_a_non_primitive_clockwise_ray(r1, r2):
+    with pytest.raises(ValueError, match="primitive"):
+        standardize_rays(r1, r2)
+
+
+def test_standard_form_rejects_parallel_rays():
+    with pytest.raises(ValueError, match="parallel"):
+        standardize_rays((1, 2), (-1, -2))
+
+
+# The standard form has an oracle of its own: check_cross_validation
+# standardizes both of its sides through standard_form_2d, so a fault in
+# the standard form would show on both sides alike and pass there.
+ray = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
+    lambda r: gcd(*r) == 1
+)
+
+
+@settings(max_examples=300)
+@given(ray, ray)
+@example((1, 0), (4, 7))
+@example((4, 7), (1, 0))
+@example((0, -1), (1, 0))
+@example((-1, 0), (0, -1))
+def test_standard_form_matches_the_two_matrix_oracle(r1, r2):
+    assume(r1[0] * r2[1] - r1[1] * r2[0] != 0)
+    std, u = standardize_rays(r1, r2)
+    assert (tuple(std), u) == oracles.standardize_rays(r1, r2)
+    assert standardize_rays(r2, r1) == (std, u)
 
 
 # ---------------------------------------------------------------- bases and
