@@ -15,6 +15,7 @@ factor is named by its least image), and marks the rest of its orbit.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -51,11 +52,8 @@ class ConeClass:
     @property
     def reducibility_label(self):
         """Paper-style direct-sum label, e.g. 'B_{2,1} + 2A'; '' if irreducible."""
-        if not self.reducibility:
-            return ""
         terms = []
-        for name in dict.fromkeys(self.reducibility):
-            k = self.reducibility.count(name)
+        for name, k in Counter(self.reducibility).items():
             disp = _display(name)
             if k == 1:
                 terms.append(disp)
@@ -182,15 +180,20 @@ _NAME_RE = re.compile(r"^([A-H])_(\d+)_(\d+)$")
 
 
 def cone_by_name(name):
-    """Resolve a class name like 'C_3_3' to its representative cone."""
+    """Resolve a class name like 'C_3_3' to its representative cone.
+
+    Only the names :func:`classify` gives are accepted, spelled exactly as
+    it gives them: 'C_03_1', 'A_1_1' or a trailing newline is malformed.
+    """
     if name == "A":
         return classify(1, 1)[0].cone
     m = _NAME_RE.match(name)
-    if not m:
-        raise ValueError(f"malformed class name {name!r} (expected like C_3_3)")
-    letter, idx, j = m.group(1), int(m.group(2)), int(m.group(3))
-    dim = _LETTERS.index(letter) + 1
-    table = classify(dim, idx)
-    if not 1 <= j <= len(table):
-        raise ValueError(f"{name}: only {len(table)} classes of dimension {dim}, index {idx}")
-    return table[j - 1].cone
+    if m:
+        letter, idx, j = m.group(1), int(m.group(2)), int(m.group(3))
+        dim = _LETTERS.index(letter) + 1
+        table = classify(dim, idx)
+        if not 1 <= j <= len(table):
+            raise ValueError(f"{name}: only {len(table)} classes of dimension {dim}, index {idx}")
+        if table[j - 1].name == name:
+            return table[j - 1].cone
+    raise ValueError(f"malformed class name {name!r} (expected like C_3_3)")

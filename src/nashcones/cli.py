@@ -68,6 +68,8 @@ def _cmd_resolve(args):
     cone = _cone_from_args(args)
     cache_path = os.environ.get("NASH_CACHE") or args.cache
     memo = serialize.load_cache(cache_path, args.prune_index) if cache_path else None
+    if cache_path and not args.no_memo:  # a missing directory fails now, not after resolving
+        os.stat(os.path.dirname(cache_path) or ".")
 
     budget = False
     try:

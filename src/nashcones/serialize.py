@@ -78,30 +78,23 @@ def _subtree_shape(node):
 
 
 def _group_children(children):
-    """Sibling groups per the diagram convention: equivalent cones always
-    merge (same canonical key means the same canonical subtree), and
-    non-simplicial siblings additionally merge when their subtree shapes
-    coincide."""
+    """Sibling groups per the diagram convention, as [rep, count] pairs.
+
+    Equivalent cones always merge (same canonical key means the same
+    canonical subtree); a key's rep is its first sibling that is not
+    memoized, else its first sibling. Non-simplicial reps additionally
+    merge when their subtree shapes coincide, into the first such group.
+    Groups keep the order in which their first sibling appears.
+    """
     by_key = {}
     for ch in children:
         by_key.setdefault(ch.key, []).append(ch)
-    groups = []
-    for members in by_key.values():
+    merged = {}
+    for key, members in by_key.items():
         rep = next((m for m in members if m.status != MEMOIZED), members[0])
-        groups.append([rep, len(members)])
-    merged = []
-    for rep, count in groups:
-        if not rep.cone.is_simplicial:
-            shape = _subtree_shape(rep)
-            target = next(
-                (m for m in merged if not m[0].cone.is_simplicial and _subtree_shape(m[0]) == shape),
-                None,
-            )
-            if target is not None:
-                target[1] += count
-                continue
-        merged.append([rep, count])
-    return merged
+        tag = key if rep.cone.is_simplicial else _subtree_shape(rep)
+        merged.setdefault(tag, [rep, 0])[1] += len(members)
+    return list(merged.values())
 
 
 def render_dot(tree) -> str:

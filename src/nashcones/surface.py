@@ -75,34 +75,31 @@ def hj_eval(terms) -> Fraction:
     return Fraction(n, m)
 
 
-def _convergents(terms):
-    ps = [0, 1]  # p_{-1}, p_0
-    qs = [0]  # q_0
-    for i, a in enumerate(terms, start=1):
-        ps.append(a * ps[-1] - ps[-2])
-        qs.append(1 if i == 1 else a * qs[-1] - qs[-2])
-    return tuple(zip(ps[1:], qs))
-
-
 def hj_expand(x) -> HJExpansion:
     """The unique expansion of a rational with a_i > 1 past the first term.
 
     Round up, subtract, invert, as a Euclid step on the pair x = p/q:
     a = ceil(p/q), and the remainder (a*q - p)/q inverts to q/(a*q - p).
     Terminates because the denominators of the remainders strictly
-    decrease.
+    decrease. Each step also takes the convergent recurrence
+    (p_i, q_i) = a_i (p_{i-1}, q_{i-1}) - (p_{i-2}, q_{i-2}) one term on,
+    from the seed pair (p_{-1}, q_{-1}) = (0, -1), (p_0, q_0) = (1, 0).
     """
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     terms = []
+    prev, cur = (0, -1), (1, 0)
+    convergents = [cur]
     while True:
         a = -((-p) // q)
         terms.append(a)
+        prev, cur = cur, (a * cur[0] - prev[0], a * cur[1] - prev[1])
+        convergents.append(cur)
         rem = a * q - p
         if rem == 0:
             break
         p, q = q, rem
-    return HJExpansion(tuple(terms), _convergents(terms))
+    return HJExpansion(tuple(terms), tuple(convergents))
 
 
 def _cross(a, b):

@@ -3,7 +3,10 @@
 from itertools import permutations
 
 from nashcones import intlinalg as la
+from nashcones.classify import _display
 from nashcones.cones import cone_from_facets
+from nashcones.nash import MEMOIZED
+from nashcones.serialize import _subtree_shape
 
 
 def localize_by_tight_facets(p, v):
@@ -97,3 +100,66 @@ def standardize_rays(r1, r2):
     assert f > 0
     shear = ((1, -(e // f)), (0, 1))
     return (e - (e // f) * f, f), la.matmul(shear, first)
+
+
+# The two-stage sibling grouping, the reference for serialize._group_children.
+
+
+def group_children(children):
+    """Group siblings by key, then rescan the merged groups for each
+    non-simplicial group and fold it into the first earlier non-simplicial
+    group with the same subtree shape."""
+    by_key = {}
+    for ch in children:
+        by_key.setdefault(ch.key, []).append(ch)
+    groups = []
+    for members in by_key.values():
+        rep = next((m for m in members if m.status != MEMOIZED), members[0])
+        groups.append([rep, len(members)])
+    merged = []
+    for rep, count in groups:
+        if not rep.cone.is_simplicial:
+            shape = _subtree_shape(rep)
+            target = next(
+                (m for m in merged if not m[0].cone.is_simplicial and _subtree_shape(m[0]) == shape),
+                None,
+            )
+            if target is not None:
+                target[1] += count
+                continue
+        merged.append([rep, count])
+    return merged
+
+
+# The convergent recurrence over finished terms, the reference for the
+# convergents surface.hj_expand carries through its Euclid loop.
+
+
+def convergents(terms):
+    """(p_i, q_i) for i = 0..k of [a_1, ..., a_k]."""
+    ps = [0, 1]  # p_{-1}, p_0
+    qs = [0]  # q_0
+    for i, a in enumerate(terms, start=1):
+        ps.append(a * ps[-1] - ps[-2])
+        qs.append(1 if i == 1 else a * qs[-1] - qs[-2])
+    return tuple(zip(ps[1:], qs))
+
+
+# The count-per-name direct-sum label, the reference for
+# classify.ConeClass.reducibility_label.
+
+
+def reducibility_label(reducibility):
+    if not reducibility:
+        return ""
+    terms = []
+    for name in dict.fromkeys(reducibility):
+        k = reducibility.count(name)
+        disp = _display(name)
+        if k == 1:
+            terms.append(disp)
+        elif name == "A":
+            terms.append(f"{k}A")
+        else:
+            terms.append(f"{k} {disp}")
+    return " ⊕ ".join(terms)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import oracles
 from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
@@ -192,6 +193,28 @@ def test_cone_by_name():
         cone_by_name("C_3_99")
     with pytest.raises(ValueError):
         cone_by_name("X-3-1")
+
+
+# every class of the dims 3-5 tables that `enumerate --table` digests pin
+TABLE_RANGES = ((3, 27), (4, 8), (5, 6))
+
+
+def test_cone_by_name_takes_exactly_the_classified_names():
+    assert cone_by_name("A") is classify(1, 1)[0].cone
+    for d, top in TABLE_RANGES:
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                assert cone_by_name(cls.name) is cls.cone, cls.name
+    for alias in ("C_3_3\n", "C_03_1", "B_2_01", "A_1_1", "C_3_03", "D_04_1"):
+        with pytest.raises(ValueError, match="malformed class name"):
+            cone_by_name(alias)
+
+
+def test_reducibility_labels_match_the_count_oracle():
+    for d, top in TABLE_RANGES:
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                assert cls.reducibility_label == oracles.reducibility_label(cls.reducibility), cls.name
 
 
 def test_reducibility_labels():

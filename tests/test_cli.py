@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from nashcones import serialize
+import oracles
+from nashcones import nash, serialize
 from nashcones.classify import classify
 from nashcones.cli import main
 from nashcones.cones import canonical_key, cone_from_facets, dual_index, index
+from nashcones.errors import BudgetExceeded
 from nashcones.nash import resolution_tree
 
 from tabledata import GOLDEN_TREES, presentation
@@ -184,6 +186,34 @@ def test_resolve_dot_output():
     assert 'shape=circle' in out
 
 
+def test_dot_groups_match_the_two_stage_oracle():
+    # every node of every tree of dim 3 with index <= 9 and dim 4 with index
+    # <= 4, under four depth caps, with no memo, a fresh memo, or a memo
+    # prefilled by full runs: the same rep objects, counts and order
+    cones = [cls.cone for d, top in ((3, 9), (4, 4)) for i in range(1, top + 1) for cls in classify(d, i)]
+    full = {}
+    for c in cones:
+        resolution_tree(c, memo=full)
+    nodes = 0
+    for memoize, prefilled in ((False, False), (True, False), (True, True)):
+        for cap in (1, 2, 3, 32):
+            for c in cones:
+                memo = dict(full) if prefilled else None
+                try:
+                    tree = resolution_tree(c, memoize=memoize, max_depth=cap, memo=memo)
+                except BudgetExceeded as exc:
+                    tree = exc.tree
+                stack = [tree.root]
+                while stack:
+                    node = stack.pop()
+                    nodes += 1
+                    got = serialize._group_children(node.children)
+                    want = oracles.group_children(node.children)
+                    assert [(id(r), k) for r, k in got] == [(id(r), k) for r, k in want]
+                    stack.extend(node.children)
+    assert nodes == 13423
+
+
 def test_resolve_jobs_byte_identical():
     args = ("resolve", "--name", "C_4_3", "--format", "text")
     _, out1, _ = run_cli(*args, "--jobs", "1")
@@ -352,8 +382,13 @@ def test_cache_env_override(tmp_path):
     "path, error",
     [(".", "IsADirectoryError"), ("missing/cache.jsonl", "FileNotFoundError")],
 )
-def test_unusable_cache_path_exit_2(tmp_path, where, path, error):
-    # a directory fails on load, a path under a missing directory on append
+def test_unusable_cache_path_exit_2(tmp_path, monkeypatch, where, path, error):
+    # a directory fails on load, a path under a missing directory before
+    # resolving; neither reaches a blow-up
+    def no_blowup(cone):
+        raise AssertionError("resolved before the cache path was checked")
+
+    monkeypatch.setattr(nash, "nash_blowup", no_blowup)
     cache = str(tmp_path / path)
     if where == "flag":
         code, out, err = run_cli("resolve", "--name", "C_2_2", "--cache", cache)
@@ -363,6 +398,14 @@ def test_unusable_cache_path_exit_2(tmp_path, where, path, error):
     assert out == ""
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["C_3_3\n", "C_03_1", "B_2_01", "A_1_1"])
+def test_resolve_name_alias_exit_2(name):
+    code, out, err = run_cli("resolve", "--name", name)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ValueError: malformed class name {name!r} (expected like C_3_3)\n"
 
 
 def test_closed_stdout_pipe_exit_0():

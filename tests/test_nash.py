@@ -439,12 +439,17 @@ def test_max_nodes_budget():
 
 
 def test_memo_history_never_changes_stats():
-    # memo entries from runs under any depth cap, in any order, give the
-    # statistics of the unmemoized tree under the current cap
+    # memo entries from runs under any depth cap, in any order, and from
+    # full runs made first, give the statistics and the unique count of the
+    # unmemoized tree under the current cap
     cones = [cone_from_facets(p) for i, _, p, _ in DIM3_CLASSES.values() if i <= 6]
     depths = (1, 2, 3, 4)
+
+    def stats(tree):
+        return tree_stats(tree), unique_cone_count(tree)
+
     want = {
-        (k, m): tree_stats(resolution_tree(c, memoize=False, max_depth=m))
+        (k, m): stats(resolution_tree(c, memoize=False, max_depth=m))
         for k, c in enumerate(cones)
         for m in depths
     }
@@ -453,11 +458,14 @@ def test_memo_history_never_changes_stats():
     sequences = [runs, runs[::-1]] + [rng.sample(runs, len(runs)) for _ in range(2)]
     sequences += [[(k, m) for m in order for k in range(len(cones))]
                   for order in (depths, depths[::-1])]
-    for seq in sequences:
-        memo = {}
+    prefilled = {}
+    for c in cones:
+        resolution_tree(c, memo=prefilled)
+    for seq, start in [(seq, {}) for seq in sequences] + [(runs, prefilled), (runs[::-1], prefilled)]:
+        memo = dict(start)
         for k, m in seq:
             tr = resolution_tree(cones[k], memoize=True, max_depth=m, memo=memo)
-            assert tree_stats(tr) == want[(k, m)], (k, m)
+            assert stats(tr) == want[(k, m)], (k, m)
 
 
 def test_anomaly_index_growth():

@@ -102,11 +102,7 @@ def _ref_expand(x):
         if rem == 0:
             break
         x = 1 / rem
-    ps, qs = [0, 1], [0]
-    for i, a in enumerate(terms, start=1):
-        ps.append(a * ps[-1] - ps[-2])
-        qs.append(1 if i == 1 else a * qs[-1] - qs[-2])
-    return tuple(terms), tuple(zip(ps[1:], qs))
+    return tuple(terms), oracles.convergents(terms)
 
 
 def _outcome(f, terms):
@@ -154,6 +150,22 @@ def test_tails_are_coprime_and_end_at_eval(terms):
 def test_expand_matches_fraction_reference(n, d):
     exp = hj_expand(Fraction(n, d))
     assert (exp.terms, exp.convergents) == _ref_expand(Fraction(n, d))
+
+
+@settings(max_examples=200)
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**4))
+@example(0, 1)
+@example(-7, 1)
+@example(12345678901234567890123, 1)
+@example(-3, 7)
+@example(1, 10**4)
+def test_expand_convergents_match_the_recurrence_oracle(n, d):
+    # negative, integer and large rationals; the expansion has at most
+    # about d terms, as the remainders' denominators strictly decrease
+    x = Fraction(n, d)
+    exp = hj_expand(x)
+    assert exp.convergents == oracles.convergents(exp.terms)
+    assert exp.convergents[-1] == (x.numerator, x.denominator)
 
 
 def test_subword_sweep_detects_wrong_evaluator(monkeypatch):
