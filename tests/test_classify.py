@@ -205,9 +205,6 @@ def test_cone_by_name_takes_exactly_the_classified_names():
         for i in range(1, top + 1):
             for cls in classify(d, i):
                 assert cone_by_name(cls.name) is cls.cone, cls.name
-    for alias in ("C_3_3\n", "C_03_1", "B_2_01", "A_1_1", "C_3_03", "D_04_1"):
-        with pytest.raises(ValueError, match="malformed class name"):
-            cone_by_name(alias)
 
 
 def test_reducibility_labels_match_the_count_oracle():

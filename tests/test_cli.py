@@ -400,7 +400,7 @@ def test_unusable_cache_path_exit_2(tmp_path, monkeypatch, where, path, error):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name", ["C_3_3\n", "C_03_1", "B_2_01", "A_1_1"])
+@pytest.mark.parametrize("name", ["C_3_3\n", "C_03_1", "B_2_01", "A_1_1", "C_3_03", "D_04_1"])
 def test_resolve_name_alias_exit_2(name):
     code, out, err = run_cli("resolve", "--name", name)
     assert code == 2
