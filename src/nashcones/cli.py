@@ -66,9 +66,10 @@ def _cmd_hilbert(args):
 
 def _cmd_resolve(args):
     cone = _cone_from_args(args)
-    cache_path = os.environ.get("NASH_CACHE") or args.cache
+    # the cache only feeds and keeps the memo, so --no-memo never touches it
+    cache_path = None if args.no_memo else os.environ.get("NASH_CACHE") or args.cache
     memo = serialize.load_cache(cache_path, args.prune_index) if cache_path else None
-    if cache_path and not args.no_memo:  # a missing directory fails now, not after resolving
+    if cache_path:  # a missing directory fails now, not after resolving
         os.stat(os.path.dirname(cache_path) or ".")
 
     budget = False
@@ -85,7 +86,7 @@ def _cmd_resolve(args):
         tree = exc.tree
         budget = True
 
-    if cache_path and not args.no_memo:
+    if cache_path:
         serialize.append_cache(cache_path, tree)
 
     if args.format == "text":

@@ -383,7 +383,10 @@ def canonical_key(c, registry=None) -> bytes:
     Within the invariant bucket (d, ray count, facet count, I, I*), the key
     is the lexicographic minimum, over ordered bases drawn from the smaller
     of the two generator sets, of the row-sorted generator matrix brought
-    into column HNF on that basis (:func:`intlinalg.hnf_images`).
+    into column HNF on that basis (:func:`intlinalg.hnf_images`). The full
+    search is :func:`intlinalg.least_image`, which finishes only the
+    leaves whose first column can still give the least row, and returns
+    the first least image, so its basis is the one the whole minimum picks.
 
     ``registry``, a dict owned by the caller, remembers the non-smooth
     classes keyed so far: (bucket, :func:`_fingerprint`) maps to a list of
@@ -407,7 +410,7 @@ def canonical_key(c, registry=None) -> bytes:
             if any(_sorted_rows(h) == best for h in la.hnf_images(rows, basis)):
                 break
         else:
-            image = min(la.hnf_images(rows), key=_sorted_rows)
+            image = la.least_image(rows)
             best = _sorted_rows(image)
             if group is not None:
                 group.append((best, image[:d]))

@@ -400,6 +400,23 @@ def test_unusable_cache_path_exit_2(tmp_path, monkeypatch, where, path, error):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["flag", "env"])
+@pytest.mark.parametrize("path", [".", "missing/cache.jsonl", "cache.jsonl"])
+def test_no_memo_never_touches_the_cache(tmp_path, where, path):
+    # --no-memo neither reads nor writes the cache, so a directory or a
+    # path under a missing directory changes nothing, and no file appears
+    args = ("resolve", "--name", "C_2_2", "--no-memo")
+    want = run_cli(*args)
+    cache = str(tmp_path / path)
+    if where == "flag":
+        got = run_cli(*args, "--cache", cache)
+    else:
+        got = run_cli(*args, env={"NASH_CACHE": cache})
+    assert got == want
+    assert want[0] == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["C_3_3\n", "C_03_1", "B_2_01", "A_1_1", "C_3_03", "D_04_1"])
 def test_resolve_name_alias_exit_2(name):
     code, out, err = run_cli("resolve", "--name", name)

@@ -373,6 +373,51 @@ def test_hermite_forms_match_the_remainder_loop_oracle(m):
 
 
 @st.composite
+def least_image_inputs(draw):
+    """d in 1..4 and rows spanning Q^d with entries in +-4, negative ones
+    included. Half the time the rows are closed under a coordinate swap
+    or a coordinate's sign flip, a symmetry under which images tie on the
+    first column's minimum; then up to two repeated, summed or negated
+    rows join, at most d + 3 rows in all."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    rows = [tuple(draw(entry) for _ in range(d)) for _ in range(draw(st.integers(1, d + 1)))]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+
+        def g(r):  # swap coordinates i and j, or flip the sign of i
+            r = list(r)
+            r[i], r[j] = (-r[i], -r[i]) if i == j else (r[j], r[i])
+            return tuple(r)
+
+        rows += [g(r) for r in rows if g(r) not in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(draw(st.sampled_from((a, la.vadd(a, b), la.scale(a, -1)))))
+    rows = tuple(rows[: d + 3])
+    assume(la.rank(rows) == d)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(least_image_inputs())
+# d = 1, a later sign flip least; a later, smaller image tying on the
+# first column's minimum; a later image sorting equal on other basis rows
+@example(((1,), (-1,), (3,)))
+@example(((0, 1, -3), (-1, 0, -1), (1, 2, -2), (1, 0, 0)))
+@example(((0, -3), (-1, 1), (-1, 2), (-3, 1)))
+def test_least_image_is_the_first_least_oracle_image(rows):
+    # the whole tuple, so the first winner's basis rows are checked too
+    want = min(oracles.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+    assert la.least_image(rows) == want
+
+
+def test_least_image_without_a_basis_is_none():
+    assert la.least_image(((1, 2), (2, 4))) is None
+    assert la.least_image(((0,),)) is None
+
+
+@st.composite
 def pivot_inputs(draw):
     """A matrix of row lists, a row r in 0..n (n itself included: a wide
     matrix's row HNF runs out of rows) and a column c, the column sometimes

@@ -291,6 +291,37 @@ def test_registry_keys_equal_fresh_keys_on_golden_trees():
                 _assert_tree_keys_are_fresh_keys(tree, name)
 
 
+def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
+    # every node of the dim-4 golden trees, expanded: the leaf-cut search
+    # gives the keys and registers the bases that the minimum over every
+    # image gives
+    def trees():
+        return [
+            resolution_tree(cone_from_facets(presentation(name)), memoize=False)
+            for name in GOLDEN_TREES
+            if name.startswith("D")
+        ]
+
+    def keys(tree):
+        stack, out = [tree.root], []
+        while stack:
+            node = stack.pop()
+            out.append(node.key)
+            stack.extend(node.children)
+        return out
+
+    def unbounded_search(rows):
+        return min(la.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+
+    cut = trees()
+    monkeypatch.setattr(la, "least_image", unbounded_search)
+    unbounded = trees()
+    for a, b in zip(cut, unbounded, strict=True):
+        assert keys(a) == keys(b)
+        assert a.registry == b.registry
+    assert sum(len(group) for tree in cut for group in tree.registry.values()) > 12
+
+
 def test_registry_keys_equal_fresh_keys_on_bulk_subset():
     for name in ("C_4_7", "C_6_5", "D_3_5", "D_4_13", "D_4_16", "D_5_9"):
         c = cone_from_facets(presentation(name))
