@@ -14,11 +14,11 @@ the same incidence gives each vertex's tangent cone: the facets through
 the vertex and the edges from it. Every operation is exact and pure.
 
 Canonical keys come from the GL(d,Z) orbit search of
-:func:`intlinalg.hnf_images`. A caller that keys many cones, such as a
-resolution tree, can hand :func:`canonical_key` a registry of the classes
-keyed so far, grouped by invariants and a fingerprint of the pairing
-matrix rays . facets^T; a cone of a registered class is recognized by the
-search cut to that class's winning basis, and takes its key unchanged.
+:func:`intlinalg.least_images`. A caller that keys many cones, such as a
+resolution tree, can hand :func:`canonical_key` a registry of the class
+minima keyed so far; a cone of a registered class stops the search at
+the first image that sorts to its class's minimum, and takes its key
+unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import combinations, islice
 from operator import and_
 
 from . import intlinalg as la
-from .errors import NotAVertex, NotProper
+from .errors import NotAVertex, NotProper, RankDeficient
 
 
 class Cone:
@@ -107,11 +107,12 @@ def _dual_extreme_rays(gens, d):
     gens[k] . ray == 0. One incremental double description pass: seed with
     d linearly independent generators (a simplicial dual, each seed ray
     tight on the other d - 1), then :func:`_dd_cut` by the rest in input
-    order. Requires rank(gens) == d (a pointed dual).
+    order. Raises RankDeficient, before any cut, when the seed step finds
+    fewer than d (the dual would not be pointed).
     """
     basis_idx = list(islice(la.independent(gens), d))
     if len(basis_idx) < d:
-        raise ValueError("generators do not span the space")
+        raise RankDeficient("generators do not span the space")
     basis_rows = [gens[i] for i in basis_idx]
 
     basis_mask = sum(1 << i for i in basis_idx)
@@ -183,9 +184,10 @@ def _double_description(gens, noun, low_rank, dual_low_rank):
     if any(len(r) != d for r in rows):
         raise ValueError(f"{noun}s have mixed dimensions")
     prim = sorted({la.primitive(r) for r in rows})
-    if la.rank(prim) < d:
-        raise NotProper(low_rank)
-    pairs = _dual_extreme_rays(prim, d)
+    try:
+        pairs = _dual_extreme_rays(prim, d)
+    except RankDeficient:
+        raise NotProper(low_rank) from None
     dual = tuple(w for w, _ in pairs)
     if la.rank(dual) < d:
         raise NotProper(dual_low_rank)
@@ -305,8 +307,8 @@ class _HullDD:
         verts = sorted(g[1:] for k, g in enumerate(gens) if extreme >> k & 1 and g[0] == 1)
         if rec != list(c.rays):
             raise AssertionError("recession cone does not match the input cone")
-        if not verts or not set(verts) <= {g[1:] for g in gens if g[0] == 1}:
-            raise AssertionError("hull vertex outside the input point set")
+        if not verts:
+            raise AssertionError("hull has no vertex")
         return Polyhedron(c.dim, tuple(verts), c, self.inequalities(), (gens, pairs, extreme))
 
 
@@ -366,36 +368,23 @@ def _sorted_rows(m):
     return tuple(sorted(m))
 
 
-def _fingerprint(c):
-    """The sorted row profiles and the sorted column profiles of the
-    pairing matrix rays . facets^T: GL(d,Z) fixes every pairing, so only
-    the order of rows and columns can differ between equivalent cones."""
-    pairing = [[la.dot(r, f) for f in c.facets] for r in c.rays]
-    return (
-        tuple(sorted(tuple(sorted(row)) for row in pairing)),
-        tuple(sorted(tuple(sorted(col)) for col in zip(*pairing))),
-    )
-
-
 def canonical_key(c, registry=None) -> bytes:
     """Deterministic byte key, equal exactly for GL(d,Z)-equivalent cones.
 
     Within the invariant bucket (d, ray count, facet count, I, I*), the key
     is the lexicographic minimum, over ordered bases drawn from the smaller
     of the two generator sets, of the row-sorted generator matrix brought
-    into column HNF on that basis (:func:`intlinalg.hnf_images`). The full
-    search is :func:`intlinalg.least_image`, which finishes only the
-    leaves whose first column can still give the least row, and returns
-    the first least image, so its basis is the one the whole minimum picks.
+    into column HNF on that basis: the last yield of the GL(d,Z) orbit
+    search :func:`intlinalg.least_images`, which finishes only the leaves
+    whose first column can still give the least row.
 
-    ``registry``, a dict owned by the caller, remembers the non-smooth
-    classes keyed so far: (bucket, :func:`_fingerprint`) maps to a list of
-    (best, basis), basis being the first d rows of an image sorting to
-    best. A cone first tries each entry of its group by the search cut to
-    that basis, and takes the entry's key if an image sorts to its best:
-    equal generator sets up to a unimodular map mean equivalent cones, and
-    an equivalent cone has the winning image itself. Otherwise the full
-    search runs and its result joins the group.
+    ``registry``, a set owned by the caller, holds the (bucket, minimum)
+    pairs of the non-smooth classes keyed so far. The search stops at the
+    first yield whose pair is in it: equal sorted images in one bucket mean
+    equal generator sets up to a unimodular map, so the cone is of that
+    class, and its minimum is the registered one. The class minimum itself
+    is always yielded, so a registered class never runs the search to its
+    end. Otherwise the search runs out and its pair joins the registry.
     """
     if c._key is not None:
         return c._key
@@ -405,15 +394,13 @@ def canonical_key(c, registry=None) -> bytes:
         best = _sorted_rows(la.identity(d))
     else:
         rows = c.rays if len(c.rays) <= len(c.facets) else c.facets
-        group = None if registry is None else registry.setdefault((bucket, _fingerprint(c)), [])
-        for best, basis in group or ():
-            if any(_sorted_rows(h) == best for h in la.hnf_images(rows, basis)):
+        for image in la.least_images(rows):
+            best = _sorted_rows(image)
+            if registry is not None and (bucket, best) in registry:
                 break
         else:
-            image = la.least_image(rows)
-            best = _sorted_rows(image)
-            if group is not None:
-                group.append((best, image[:d]))
+            if registry is not None:
+                registry.add((bucket, best))
     c._key = repr((bucket, best)).encode()
     return c._key
 

@@ -8,12 +8,12 @@ Besides the determinant, two eliminations carry the kernel: the greedy
 fraction-free echelon of :func:`independent` (rank, and every greedy
 basis the other modules pick) and the Hermite form :func:`row_hnf`
 (column forms, lattice indices and Smith forms), whose column step
-:func:`hnf_images` runs as the one GL(d,Z) orbit search, whole or cut to
-the images of one target basis. :func:`least_image` runs the same search
-for the image with the least sorted rows: at a leaf's last step it takes
-the image's first column, one row's work, and leaves the leaf unfinished
-when that column's minimum is above the first entry of the best image's
-least row. The column step is one pass down the
+:func:`hnf_images` runs as the one GL(d,Z) orbit search.
+:func:`least_images` runs the same search for the image with the least
+sorted rows, yielding each image below all before it: at a leaf's last
+step it takes the image's first column, one row's work, and leaves the
+leaf unfinished when that column's minimum is above the first entry of
+the last yield's least row. The column step is one pass down the
 column with one exact-quotient or extended-gcd 2x2 unimodular row
 combination per row (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 2.4.5). The row Hermite form of a matrix is unique, and so
@@ -269,7 +269,7 @@ def row_hnf(m):
     return mat(a)
 
 
-def _leaves(rows, basis=None):
+def _leaves(rows):
     """The depth-first search of :func:`hnf_images` on rows transposed:
     yield (a, order) for each leaf, order being its ordered basis (row
     indices) and a the matrix after the steps of all but its last column,
@@ -277,28 +277,13 @@ def _leaves(rows, basis=None):
     bases come in lexicographic order; a column with no pivot left cuts
     its subtree. :func:`_pivot` never changes a row list in place, so a
     branch pivots a shallow copy, column j where it stands, and shared
-    prefixes are eliminated once.
-
-    Given ``basis``, d rows, a column whose step would not give basis[k]
-    is cut before it is eliminated. Later steps never touch a pivoted
-    column (the rows they reduce by are zero there), and the step, one
-    exact-quotient or extended-gcd row combination per row below the
-    pivot, leaves column j as the gcd g of its entries from row k down,
-    zeros below, and its entries above reduced mod g. Other combinations
-    could only add to the rows above integer combinations of the rows from
-    k down, which leaves those residues alone, and each image is unique,
-    as u is."""
+    prefixes are eliminated once."""
     d = len(rows[0]) if rows else 0
-
-    def fits(a, k, j):
-        g = vec_gcd(row[j] for row in a[k:])
-        want = basis[k]
-        return g == want[k] and all(row[j] % g == x for row, x in zip(a[:k], want))
 
     def search(a, order):
         k = len(order)
         for j in range(len(rows)):
-            if j in order or basis is not None and not fits(a, k, j):
+            if j in order:
                 continue
             if k == d - 1:
                 yield a, order + (j,)
@@ -321,36 +306,37 @@ def _image(a, order):
     return tuple([cols[j] for j in order] + [c for j, c in enumerate(cols) if j not in order])
 
 
-def hnf_images(rows, basis=None):
+def hnf_images(rows):
     """Yield rows @ u, basis rows first, for each ordered basis among rows
     (in lexicographic order of row indices), u putting the basis in column
     HNF: the depth-first search of :func:`_pivot` steps of :func:`_leaves`,
-    every leaf finished. :func:`least_image` runs the same search and
-    finishes only the leaves that can still be least.
-
-    Given ``basis``, d rows, yield only the images whose first d rows equal
-    it; a column whose step could not give the next basis row is cut before
-    it is eliminated."""
-    for a, order in _leaves(rows, basis):
+    every leaf finished. :func:`least_images` runs the same search and
+    finishes only the leaves that can still be least."""
+    for a, order in _leaves(rows):
         image = _image(a, order)
         if image is not None:
             yield image
 
 
-def least_image(rows):
-    """The first image of :func:`hnf_images` whose sorted rows are least,
-    or None when rows have no basis: ``min(hnf_images(rows), key=sorted
-    rows)``, finishing only the leaves that can still win.
+def least_images(rows):
+    """Yield each image of :func:`hnf_images` whose sorted rows are
+    strictly below those of every image yielded before it, finishing only
+    the leaves that can still be yielded. The last yield is ``min(
+    hnf_images(rows), key=sorted rows)``, the first least image; there is
+    none when rows have no basis.
 
     At the last step (row d - 1, column j, entry x) the image's first
     column comes out as a[0] - (a[0][j] // |x|) * sign(x) * a[d - 1], or as
     sign(x) * a[0] when d = 1, row 0 being the pivot row itself. An image's
     least row starts with that column's minimum, so a leaf whose minimum
-    is above the best image's is strictly larger and is cut before its
-    other reductions, its transpose and its sort. A tie runs the full
-    comparison, and only a strictly smaller image replaces the best, so
-    the first winner in search order comes out, basis rows and all."""
-    best = winner = None
+    is above the first entry of the last yield's least row is strictly
+    larger and is cut before its other reductions, its transpose and its
+    sort. A tie runs the full comparison. The least image is never cut,
+    its column's minimum being its least row's first entry, and its first
+    occurrence is below every image before it, so it is always yielded: a
+    caller that knows the least sorted rows may stop at the yield that has
+    them."""
+    best = None
     for a, order in _leaves(rows):
         j = order[-1]
         x = a[-1][j]
@@ -367,8 +353,8 @@ def least_image(rows):
         image = _image(a, order)
         key = tuple(sorted(image))
         if best is None or key < best:
-            best, winner = key, image
-    return winner
+            best = key
+            yield image
 
 
 def column_hnf(m):

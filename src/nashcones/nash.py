@@ -16,8 +16,8 @@ explicitly and serves as the reference.
 The tree expands non-smooth cones recursively, with optional pruning of
 small-index simplicial cones and memoization keyed by canonical form.
 Each tree keeps the class registry of :func:`cones.canonical_key`, so a
-cone whose class the tree has already keyed takes that key by a cut
-search instead of a full one.
+cone whose class the tree has already keyed stops its key search at the
+first image that sorts to the class's minimum.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class ResolutionTree:
     nodes_created: int = 1
     budget_hit: bool = False
     root: TreeNode = None
-    registry: dict = field(default_factory=dict)
+    registry: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)

@@ -53,18 +53,15 @@ def row_hnf(m):
     return la.mat(a)
 
 
-def hnf_images(rows, basis=None):
+def hnf_images(rows):
     """What :func:`intlinalg.hnf_images` yields, from its definition: for
     each ordered basis among rows, in lexicographic order of row indices,
-    the column Hermite form of the basis rows stacked over the others,
-    kept only if it starts with ``basis`` when that is given."""
+    the column Hermite form of the basis rows stacked over the others."""
     d = len(rows[0]) if rows else 0
     for p in permutations(range(len(rows)), d):
         if la.det([rows[i] for i in p]):
             stacked = [rows[i] for i in p] + [row for i, row in enumerate(rows) if i not in p]
-            h = la.transpose(row_hnf(la.transpose(stacked)))
-            if basis is None or h[:d] == basis:
-                yield h
+            yield la.transpose(row_hnf(la.transpose(stacked)))
 
 
 # The two-matrix route to the 2-D standard form, the reference for

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nashcones import intlinalg as la
 from nashcones.cones import (
     Cone,
-    _fingerprint,
     _HullDD,
     canonical_key,
     cone_from_facets,
@@ -292,9 +291,10 @@ def test_registry_keys_equal_fresh_keys_on_golden_trees():
 
 
 def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
-    # every node of the dim-4 golden trees, expanded: the leaf-cut search
-    # gives the keys and registers the bases that the minimum over every
-    # image gives
+    # every node of the dim-4 golden trees, expanded: the search that stops
+    # at a registered minimum gives the keys and the registry that the
+    # minimum over every image gives, and stops at the first least image,
+    # basis rows included
     def trees():
         return [
             resolution_tree(cone_from_facets(presentation(name)), memoize=False)
@@ -310,16 +310,29 @@ def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
             stack.extend(node.children)
         return out
 
-    def unbounded_search(rows):
-        return min(la.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+    least_images = la.least_images
+    stops, firsts = [], []
 
+    def recording_search(rows):
+        firsts.append(min(la.hnf_images(rows), key=lambda h: tuple(sorted(h))))
+        stops.append(None)
+        for image in least_images(rows):
+            stops[-1] = image
+            yield image
+
+    def unbounded_search(rows):
+        yield min(la.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+
+    monkeypatch.setattr(la, "least_images", recording_search)
     cut = trees()
-    monkeypatch.setattr(la, "least_image", unbounded_search)
+    assert stops == firsts
+    monkeypatch.setattr(la, "least_images", unbounded_search)
     unbounded = trees()
     for a, b in zip(cut, unbounded, strict=True):
         assert keys(a) == keys(b)
         assert a.registry == b.registry
-    assert sum(len(group) for tree in cut for group in tree.registry.values()) > 12
+    assert sum(len(tree.registry) for tree in cut) > 12
+    assert len(stops) > sum(len(tree.registry) for tree in cut)  # some hits
 
 
 def test_registry_keys_equal_fresh_keys_on_bulk_subset():
@@ -335,36 +348,31 @@ def test_registry_keys_equal_fresh_keys_on_bulk_subset():
     [
         # 1/3(1,1) and 1/3(1,2), each times a ray
         ([(0, 0, 1), (0, 3, -1), (1, 0, 0)], [(0, 0, 1), (0, 3, -2), (1, 0, 0)]),
-        # two 3-D cones met in resolution trees: b has images on a's
-        # basis, but none with a's rows, so only the leaf test parts them
+        # two 3-D cones met in resolution trees, with equal pairing-matrix
+        # row and column profiles: b has images on the basis of a's least
+        # image, but none with a's rows
         (
             [(0, -1, 1), (0, 3, -2), (1, 2, -2), (2, 0, -1)],
             [(-2, 4, -1), (0, -2, 1), (1, 4, -2), (2, 1, -1)],
         ),
     ],
 )
-def test_registry_falls_back_on_a_shared_fingerprint(rays_a, rays_b):
-    # one bucket and one fingerprint, but not equivalent
+def test_registry_misses_a_same_bucket_class(rays_a, rays_b):
+    # one bucket, but not equivalent: the second search runs to its end
     a, b = cone_from_rays(rays_a), cone_from_rays(rays_b)
-    assert (len(a.facets), index(a), dual_index(a), _fingerprint(a)) == (
-        len(b.facets),
-        index(b),
-        dual_index(b),
-        _fingerprint(b),
-    )
-    registry = {}
+    assert (len(a.facets), index(a), dual_index(a)) == (len(b.facets), index(b), dual_index(b))
+    registry = set()
     ka, kb = canonical_key(a, registry), canonical_key(b, registry)
     assert ka != kb
     assert (ka, kb) == (_fresh_key(a), _fresh_key(b))
-    (group,) = registry.values()
-    assert len(group) == 2
+    assert len(registry) == 2
 
 
 def test_registry_hit_on_a_signed_permutation_image():
     rays = ((-2, -3, 2, 1), (-2, 3, 0, -1), (0, 0, -1, 1), (3, -5, 2, 0), (3, 1, 0, -2))
     c = cone_from_rays(rays)
     assert not c.is_simplicial and not is_smooth(c)
-    registry = {}
+    registry = set()
     key = canonical_key(c, registry)
     rng = random.Random(13)
     for _ in range(5):
@@ -372,8 +380,37 @@ def test_registry_hit_on_a_signed_permutation_image():
         signs = [rng.choice((-1, 1)) for _ in range(4)]
         img = cone_from_rays([[s * r[j] for s, j in zip(signs, perm)] for r in rays])
         assert canonical_key(img, registry) == key
-        (group,) = registry.values()
-        assert len(group) == 1  # a hit registers nothing
+        assert len(registry) == 1  # a hit registers nothing
+
+
+@st.composite
+def _signed_shears(draw, d):
+    """x -> x . T for T a signed permutation matrix times a shear
+    e_i -> e_i + q e_j."""
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+    t = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+    q = draw(st.integers(-3, 3))
+    t[i] = [x + q * y for x, y in zip(t[i], t[j])]
+    return la.mat(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_cones(), _small_cones(), st.data())
+def test_shared_registry_keys_equal_fresh_keys(case_a, case_b, data):
+    # images of two cones under signed permutations and shears, keyed in
+    # a drawn order through one registry: every key is the fresh key, and
+    # the registry holds one pair per class
+    cones = [case_a[0], case_b[0]]
+    for c in list(cones):
+        for t in data.draw(st.lists(_signed_shears(c.dim), min_size=1, max_size=3)):
+            cones.append(cone_from_rays([la.vec_mat(r, t) for r in c.rays]))
+    cones = data.draw(st.permutations(cones))
+    registry = set()
+    fresh = [_fresh_key(c) for c in cones]
+    assert [canonical_key(c, registry) for c in cones] == fresh
+    assert len(registry) == len(set(fresh))
 
 
 def test_pruning_shapes():
