@@ -311,7 +311,7 @@ def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
         return out
 
     least_images = la.least_images
-    stops, firsts = [], []
+    stops, firsts, ran_out = [], [], []
 
     def recording_search(rows):
         firsts.append(min(la.hnf_images(rows), key=lambda h: tuple(sorted(h))))
@@ -319,6 +319,7 @@ def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
         for image in least_images(rows):
             stops[-1] = image
             yield image
+        ran_out.append(rows)
 
     def unbounded_search(rows):
         yield min(la.hnf_images(rows), key=lambda h: tuple(sorted(h)))
@@ -331,8 +332,10 @@ def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
     for a, b in zip(cut, unbounded, strict=True):
         assert keys(a) == keys(b)
         assert a.registry == b.registry
-    assert sum(len(tree.registry) for tree in cut) > 12
-    assert len(stops) > sum(len(tree.registry) for tree in cut)  # some hits
+    # only a miss runs the search out, and each miss registers its class
+    registered = sum(len(tree.registry) for tree in cut)
+    assert len(ran_out) == registered > 12
+    assert len(stops) > registered
 
 
 def test_registry_keys_equal_fresh_keys_on_bulk_subset():
