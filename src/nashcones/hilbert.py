@@ -1,8 +1,8 @@
 """Hilbert bases of proper cones.
 
 Candidates come from the fundamental parallelepipeds of a placing
-triangulation (enumerated through the Hermite normal form of each ray
-matrix); one reduction pass in degree order, against the elements kept so
+triangulation, each a Hermite normal form box folded by its piece's own
+facets; one reduction pass in degree order, against the elements kept so
 far, keeps exactly the indecomposable ones.
 """
 
@@ -64,24 +64,24 @@ def parallelepiped_points(c):
 
     The row HNF of the ray matrix is upper triangular, so the box
     0 <= x_i < h[i][i] holds one representative of each coset of the ray
-    lattice in Z^d; each is folded into the half-open parallelepiped. The
-    count equals |det| of the ray matrix.
+    lattice in Z^d. Each ray r has exactly one facet f of c with f . r != 0,
+    and f vanishes on the other rays, so the coordinate of x along r is
+    (f . x) / (f . r): x is folded into the half-open parallelepiped by
+    subtracting that coordinate's floor times r, for each r. The count
+    equals |det| of the ray matrix.
     """
-    g = la.mat(c.rays)
+    g = c.rays
     d = c.dim
     if len(g) != d:
         raise ValueError("parallelepiped_points needs a simplicial cone")
     det_g = la.det(g)
-    adj_g = la.adjugate(g)
     h = la.row_hnf(g)
+    pairs = [(f, n) for r in g for f in c.facets if (n := la.dot(f, r))]
 
     points = []
     for x in product(*(range(h[i][i]) for i in range(d))):
-        # fold x into the parallelepiped: x - floor(coords) . g
-        num = la.vec_mat(x, adj_g)  # coords * det_g
-        floors = tuple(n // det_g for n in num)
-        folded = la.vsub(x, la.vec_mat(floors, g))
-        points.append(folded)
+        floors = tuple(la.dot(f, x) // n for f, n in pairs)
+        points.append(la.vsub(x, la.vec_mat(floors, g)))
     if len(points) != abs(det_g):
         raise AssertionError("parallelepiped point count mismatch")
     return sorted(points)

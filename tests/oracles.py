@@ -1,4 +1,5 @@
-"""Reference routes that faster library code is checked against."""
+"""Reference routes that faster library code is checked against, and the
+random unimodular maps the equivalence tests draw."""
 
 from itertools import permutations
 
@@ -14,6 +15,20 @@ def localize_by_tight_facets(p, v):
     its own: the cone of the inequalities of p tight at v."""
     tight = [n for n, b in p.inequalities if la.dot(n, v) == b]
     return cone_from_facets(tight)
+
+
+def random_unimodular(rng, d, steps=14, flip=0.25):
+    """A product of steps random shears of Z^d; after each shear the
+    sheared row is negated with probability flip, with no draw when flip
+    is 0, so each seeded caller keeps its stream of draws."""
+    u = [list(row) for row in la.identity(d)]
+    for _ in range(steps):
+        i, j = rng.sample(range(d), 2)
+        q = rng.randint(-3, 3)
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if flip and rng.random() < flip:
+            u[i] = [-x for x in u[i]]
+    return la.mat(u)
 
 
 # The remainder-loop Hermite step, the reference for intlinalg._pivot.

@@ -26,23 +26,12 @@ from nashcones.cones import (
 from nashcones.classify import _perm_equivalent
 from nashcones.errors import NotAVertex, NotProper
 
-from oracles import localize_by_tight_facets
+from oracles import localize_by_tight_facets, random_unimodular
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, presentation
 
 
 def orthant(d):
     return cone_from_facets(la.identity(d))
-
-
-def random_unimodular(rng, d, steps=14):
-    u = [list(row) for row in la.identity(d)]
-    for _ in range(steps):
-        i, j = rng.sample(range(d), 2)
-        q = rng.randint(-3, 3)
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        if rng.random() < 0.25:
-            u[i] = [-x for x in u[i]]
-    return la.mat(u)
 
 
 def apply_unimodular(u, cone):

@@ -167,20 +167,34 @@ def test_parallelepiped_against_box_oracle():
         [(2, 0, -1), (0, 2, -1), (0, 0, 1)],
         [(1, 0, 0), (1, 3, 0), (1, 0, 3)],
     ]
-    for _ in range(20):
-        d = rng.randint(2, 3)
+
+    def draw(d, span):
         while True:
-            rows = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d)]
+            rows = [tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(d)]
             if la.det(rows) != 0 and all(any(r) for r in rows):
-                break
-        cases.append([la.primitive(r) for r in rows])
+                return [la.primitive(r) for r in rows]
+
+    cases += [draw(rng.randint(2, 3), 4) for _ in range(20)]
+    cases += [draw(4, 2) for _ in range(8)]
+    pieces = []
     for rays in cases:
         try:
             c = cone_from_rays(rays)
         except Exception:
             continue
-        if len(c.rays) != c.dim:
-            continue
+        if len(c.rays) == c.dim:
+            pieces.append(c)
+    assert {c.dim for c in pieces} == {2, 3, 4}
+    # and every piece of some non-simplicial 3-D and 4-D cones
+    for c in (
+        cone_from_rays([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]),
+        cone_from_facets([(1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)]),
+        cone_from_rays([(2, 0, 0, 1), (0, 3, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (1, 1, 2, 1), (0, 0, -1, 2)]),
+        cone_from_facets([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5), (2, 1, 1, 3)]),
+    ):
+        assert not c.is_simplicial
+        pieces.extend(triangulate(c))
+    for c in pieces:
         assert parallelepiped_points(c) == brute_parallelepiped(c.rays)
 
 

@@ -246,19 +246,8 @@ def test_column_hnf_is_coset_invariant():
     for _ in range(100):
         d = rng.randint(2, 4)
         m = random_nonsingular(rng, d)
-        w = random_unimodular(rng, d)
+        w = oracles.random_unimodular(rng, d, steps=12, flip=0.3)
         assert la.column_hnf(m) == la.column_hnf(la.matmul(m, w))
-
-
-def random_unimodular(rng, d, steps=12):
-    u = [list(row) for row in la.identity(d)]
-    for _ in range(steps):
-        i, j = rng.sample(range(d), 2)
-        q = rng.randint(-3, 3)
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        if rng.random() < 0.3:
-            u[i] = [-x for x in u[i]]
-    return la.mat(u)
 
 
 def test_row_hnf_examples():

@@ -1,10 +1,11 @@
 """Tools that read the library by name or by annotation keep working.
 
 The benchmark's tracer wraps library functions by name; every name it
-lists must still exist, or a traced benchmark run fails. Annotations of
-public dataclasses must resolve under ``typing.get_type_hints``. The
-runtime imports nothing outside the standard library, and README's
-library example prints what its comments say.
+lists must still exist, or a traced benchmark run fails, and its Hilbert
+probes must still see every candidate. Annotations of public dataclasses
+must resolve under ``typing.get_type_hints``. The runtime imports nothing
+outside the standard library, and README's library example prints what
+its comments say.
 """
 
 import ast
@@ -24,14 +25,41 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_traced_functions_exist():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_exist():
+    tracing = _load_tracing()
     for short, funcs in tracing.TRACED.items():
         module = importlib.import_module(f"{tracing.PACKAGE}.{short}")
         for func in funcs:
             assert callable(getattr(module, func, None)), f"{short}.{func}"
+
+
+def test_tracer_counts_the_hilbert_candidates_and_basis():
+    # the benchmark's hilbert.kept_ratio sees the candidates only through
+    # the parallelepiped_points calls made inside hilbert_basis
+    tracing = _load_tracing()
+    # install wraps the traced names in every module, so all are imported
+    modules = {short: importlib.import_module(f"{tracing.PACKAGE}.{short}") for short in tracing.TRACED}
+    hilbert, cones = modules["hilbert"], modules["cones"]
+    c = cones.cone_from_facets([(1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)])
+    assert not c.is_simplicial
+    candidates = set(c.rays).union(*map(hilbert.parallelepiped_points, hilbert.triangulate(c)))
+    candidates.discard((0,) * c.dim)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        basis = hilbert.hilbert_basis(c)
+    finally:
+        tracer.uninstall()
+    assert len(basis.elements) < len(candidates)
+    assert tracer.counts["hilbert.candidates"] == len(candidates)
+    assert tracer.counts["hilbert.kept"] == len(basis.elements)
 
 
 def test_public_dataclass_annotations_resolve():
