@@ -12,7 +12,9 @@ the one given) once in each checkout, the parent first in even-numbered
 pairs. The JSON line each workload prints is kept under ``runs``, and
 ``summary`` gives, per workload and end-to-end metric, each side's
 quartiles, the relative change of the median, the pairs the change read
-lower, and the failed operations of each side. Progress goes to stderr.
+lower, the parent's interquartile range, whether the change meets the
+claim rule, and the failed operations of each side. Progress goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -51,10 +53,16 @@ def quartiles(values):
 
 def summarize(runs, pairs):
     """Per workload: for each end-to-end metric, the parent's (before) and
-    the change's (after) quartiles, the relative change of the median and
-    the pairs whose change run read lower; and the failed operations
-    summed over each side's runs. ``runs`` maps "parent-i" and "change-i"
-    to the parsed output of pair i."""
+    the change's (after) quartiles, the relative change of the median, the
+    pairs whose change run read lower, the parent's q3 - q1 and whether a
+    gain can be claimed; and the failed operations summed over each side's
+    runs. ``runs`` maps "parent-i" and "change-i" to the parsed output of
+    pair i.
+
+    Every metric is better lower. The claim rule holds when the change read
+    lower in at least nine tenths of the pairs, ties counting for neither
+    side, and its median lies below the parent's by more than the parent's
+    interquartile range."""
     summary = {}
     for workload in runs["parent-0"]:
         before = [runs[f"parent-{i}"][workload] for i in range(pairs)]
@@ -63,11 +71,16 @@ def summarize(runs, pairs):
         for metric in METRICS:
             b = [r["metrics"][metric]["value"] for r in before]
             a = [r["metrics"][metric]["value"] for r in after]
+            q1, _, q3 = statistics.quantiles(b, n=4)
+            wins = sum(x < y for x, y in zip(a, b))
+            drop = statistics.median(b) - statistics.median(a)
             entry[metric] = {
                 "before_q1_median_q3": quartiles(b),
                 "after_q1_median_q3": quartiles(a),
                 "median_change": round(statistics.median(a) / statistics.median(b) - 1, 4),
-                "pairs_after_lower": f"{sum(x < y for x, y in zip(a, b))}/{pairs}",
+                "pairs_after_lower": f"{wins}/{pairs}",
+                "parent_iqr": round(q3 - q1, 4),
+                "claim_rule_met": 10 * wins >= 9 * pairs and drop > q3 - q1,
             }
         entry["failed"] = {
             "before": sum(r["failed"] for r in before),

@@ -4,8 +4,8 @@ random unimodular maps the equivalence tests draw."""
 from itertools import permutations
 
 from nashcones import intlinalg as la
-from nashcones.classify import _display
-from nashcones.cones import cone_from_facets
+from nashcones.classify import _display, _factor_name
+from nashcones.cones import cone_from_facets, direct_sum_decompose
 from nashcones.nash import MEMOIZED
 from nashcones.serialize import _subtree_shape
 
@@ -175,3 +175,17 @@ def reducibility_label(reducibility):
         else:
             terms.append(f"{k} {disp}")
     return " ⊕ ".join(terms)
+
+
+# The direct-sum split of a class by the general decomposition, the
+# reference for the orbit read in classify.classify.
+
+
+def reducibility_by_decompose(cls):
+    """cls.reducibility through :func:`cones.direct_sum_decompose`, whose
+    factors come sorted by decreasing dimension, then index, then key, each
+    named by its least HNF image."""
+    factors = direct_sum_decompose(cls.cone)
+    if len(factors) == 1:
+        return ()
+    return tuple(_factor_name(f) for f in factors)

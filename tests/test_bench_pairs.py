@@ -61,3 +61,34 @@ def test_summarize_quartiles_medians_and_pair_wins():
     assert summary["bulk"]["pass_s"]["pairs_after_lower"] == "3/4"
     assert summary["bulk"]["setup_s"]["pairs_after_lower"] == "0/4"  # ties count for neither
     assert summary["bulk"]["failed"] == {"before": 0, "after": 2}
+
+
+def _runs(bench, parent, change):
+    runs = {}
+    for i, (b, a) in enumerate(zip(parent, change)):
+        runs[f"parent-{i}"] = bench.parse_run(_output(b))
+        runs[f"change-{i}"] = bench.parse_run(_output(a))
+    return runs
+
+
+def test_summarize_claim_rule_needs_nine_tenths_of_pairs_and_a_drop_past_the_iqr():
+    bench = _load()
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    # parent quartiles 0.98 and 1.02 by the exclusive method
+    tables = bench.summarize(_runs(bench, parent, [x - 0.1 for x in parent]), 10)["tables"]
+    assert tables["pass_s"]["parent_iqr"] == 0.04
+    assert tables["pass_s"]["pairs_after_lower"] == "10/10"
+    assert tables["pass_s"]["claim_rule_met"] is True
+    assert tables["setup_s"]["claim_rule_met"] is False  # all ties: no pair won
+
+    # nine wins and one tie still meet it; a second tie does not
+    one_tie = [x - 0.1 for x in parent[:9]] + [parent[9]]
+    assert bench.summarize(_runs(bench, parent, one_tie), 10)["tables"]["pass_s"]["claim_rule_met"]
+    two_ties = [x - 0.1 for x in parent[:8]] + parent[8:]
+    pass_s = bench.summarize(_runs(bench, parent, two_ties), 10)["tables"]["pass_s"]
+    assert pass_s["pairs_after_lower"] == "8/10" and not pass_s["claim_rule_met"]
+
+    # every pair won, but the median drop is inside the parent's spread
+    small = bench.summarize(_runs(bench, parent, [x - 0.01 for x in parent]), 10)["tables"]
+    assert small["pass_s"]["pairs_after_lower"] == "10/10"
+    assert small["pass_s"]["claim_rule_met"] is False

@@ -3,11 +3,15 @@ from itertools import combinations, permutations
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
+    _cuts,
+    _finest_split,
     _perm_equivalent,
     class_counts,
     classify,
@@ -17,6 +21,7 @@ from nashcones.classify import (
 from nashcones.cones import (
     canonical_key,
     cone_from_facets,
+    direct_sum_decompose,
     dual_index,
     equivalent,
     index,
@@ -215,11 +220,21 @@ def test_reducibility_labels_match_the_count_oracle():
 
 
 def test_reducibility_labels():
-    by_name = {cls.name: cls for i in range(1, 6) for cls in classify(4, i)}
+    by_name = {cls.name: cls for i in range(1, 9) for cls in classify(4, i)}
     assert by_name["D_1_1"].reducibility_label == "4A"
-    assert by_name["D_4_15"].reducibility_label == "2 B_{2,1}"
     assert by_name["D_2_2"].reducibility_label == "C_{2,2} ⊕ A"
     assert by_name["D_2_3"].reducibility_label == ""
+    # the least presentation of each of these classes has no cut; only
+    # another image of its orbit is block-diagonal
+    for name, label in (
+        ("D_4_15", "2 B_{2,1}"),
+        ("D_6_36", "B_{2,1} ⊕ B_{3,1}"),
+        ("D_6_37", "B_{2,1} ⊕ B_{3,2}"),
+        ("D_8_68", "B_{2,1} ⊕ B_{4,1}"),
+        ("D_8_75", "B_{2,1} ⊕ B_{4,2}"),
+    ):
+        assert _cuts(by_name[name].presentation) == [], name
+        assert by_name[name].reducibility_label == label, name
 
 
 def test_reducibility_keeps_factor_order():
@@ -233,6 +248,41 @@ def test_reducibility_keeps_factor_order():
     assert by_name["D_2_2"].reducibility_label == "C_{2,2} ⊕ A"
     assert by_name["D_4_15"].reducibility == ("B_2_1", "B_2_1")
     assert by_name["D_4_15"].reducibility_label == "2 B_{2,1}"
+
+
+def test_reducibility_matches_the_decomposition_oracle():
+    for d, top in ((3, 27), (4, 8), (5, 3)):
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                assert cls.reducibility == oracles.reducibility_by_decompose(cls), cls.name
+
+
+@st.composite
+def _block_sums(draw):
+    """The facet rows of U (c_1 + ... + c_n) for 2-3 simplicial cones c_j
+    with small random facet matrices, of total dimension at most 5, the
+    rows shuffled and U a random unimodular map."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ds: sum(ds) <= 5))
+    d, rows, start = sum(dims), [], 0
+    for k in dims:
+        block = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=k, max_size=k))
+        assume(la.det(block))
+        rows += [(0,) * start + row + (0,) * (d - start - k) for row in block]
+        start += k
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(rows)
+    return la.matmul(rows, oracles.random_unimodular(rng, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_sums())
+def test_orbit_split_matches_decomposition(rows):
+    cone = simplicial_cone(rows)
+    blocks = _finest_split(la.hnf_images(cone.facets))
+    factors = direct_sum_decompose(cone)
+    assert len(blocks) == len(factors)
+    least = sorted(min(la.hnf_images(b)) for b in blocks)
+    assert least == sorted(min(la.hnf_images(f.facets)) for f in factors)
 
 
 def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
