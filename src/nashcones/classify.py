@@ -11,14 +11,12 @@ lists. :func:`classify` walks the sorted enumeration once: a matrix not
 yet marked starts a new class (and is the lex-least member of it, so a
 factor is named by its least image), and marks the rest of its orbit.
 
-The same orbit gives the class's finest direct sum. A column HNF is
-unique and a block-diagonal matrix of HNFs is an HNF, so a cone is a
-lattice direct sum exactly when some image is block-diagonal, that is
-(the images being lower triangular) when its lower-left block is zero
-at some cut. The atoms of the split are unique, so the image with the
-most cuts has one diagonal block per atom: the factors' presentations.
-:func:`cones.direct_sum_decompose` serves any cone; :func:`classify`
-reads its splits from the orbit.
+The same orbit gives the class's finest direct sum, by the one rule
+of :func:`cones.direct_sum_decompose`: a cone is a lattice direct sum
+exactly when some image is block-diagonal, and the image with the most
+cuts has one diagonal block per atom of the split, the factors'
+presentations. :func:`classify` reads its splits from the images it
+has listed, through :func:`cones._finest_split`.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import Cone, canonical_key, index as cone_index, simplicial_cone
+from .cones import Cone, _finest_split, canonical_key, index as cone_index, simplicial_cone
 
 _LETTERS = "ABCDEFGH"
 
@@ -160,7 +158,7 @@ def classify(d, idx):
         pending.update(images)
         pending.discard(m)
         cone = simplicial_cone(m)
-        blocks = _finest_split(images)
+        blocks = _finest_split(images, d)
         if len(blocks) == 1:
             reducibility = ()
         else:
@@ -173,30 +171,6 @@ def classify(d, idx):
         istar = abs(la.det(cone.rays))
         classes.append(ConeClass(name, d, idx, istar, m, reducibility, cone))
     return tuple(classes)
-
-
-def _cuts(h):
-    """The k in 1..d-1 at which the lower triangular h has a zero lower-left
-    block h[k:][:k]: the first nonzero column of every row from k down is
-    at least k, and row k's own is at most k. Read from the last row up,
-    it stops at a row starting with a nonzero entry, as most do."""
-    cuts, low = [], len(h)
-    for k in range(len(h) - 1, 0, -1):
-        low = min(low, next(j for j, x in enumerate(h[k]) if x))
-        if not low:
-            break
-        if low == k:
-            cuts.append(k)
-    return cuts[::-1]
-
-
-def _finest_split(images):
-    """The diagonal blocks of the first of the HNF images of one orbit with
-    the most cuts: one presentation per atom of the finest lattice direct
-    sum, a single block when the cone is irreducible."""
-    h, cuts = max(((h, _cuts(h)) for h in images), key=lambda pair: len(pair[1]))
-    bounds = (0, *cuts, len(h))
-    return [tuple(row[i:j] for row in h[i:j]) for i, j in zip(bounds, bounds[1:])]
 
 
 def _factor_name(f):

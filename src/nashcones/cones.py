@@ -18,14 +18,16 @@ Canonical keys come from the GL(d,Z) orbit search of
 resolution tree, can hand :func:`canonical_key` a registry of the class
 minima keyed so far; a cone of a registered class stops the search at
 the first image that sorts to its class's minimum, and takes its key
-unchanged.
+unchanged. Lattice direct sums are read off the same orbit, by one rule
+that :func:`direct_sum_decompose` and ``classify`` share: the images
+that are block-diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, islice
+from itertools import islice
 from operator import and_
 
 from . import intlinalg as la
@@ -409,52 +411,55 @@ def canonical_key(c, registry=None) -> bytes:
 # sums
 
 
+def _cuts(h, d):
+    """The k in 1..d-1 at which the HNF image h splits: the lower
+    triangular h[:d] has a zero lower-left block h[k:d][:k] (read up from
+    row d - 1, stopping at a row that starts nonzero, as most do), and
+    every other row is zero on one side of k."""
+    cuts, low = [], d
+    for k in range(d - 1, 0, -1):
+        low = min(low, next(j for j, x in enumerate(h[k]) if x))
+        if not low:
+            break
+        if low == k:
+            cuts.append(k)
+    for row in h[d:]:
+        support = [j for j, x in enumerate(row) if x]
+        cuts = [k for k in cuts if not support[0] < k <= support[-1]]
+    return cuts[::-1]
+
+
+def _finest_split(images, d):
+    """The blocks of the first of the HNF images of one orbit with the most
+    cuts: for each, the rows supported in it, restricted to its columns.
+    They present the atoms of the finest lattice direct sum, one block
+    when the cone is irreducible."""
+    h, cuts = max(((h, _cuts(h, d)) for h in images), key=lambda pair: len(pair[1]))
+    bounds = (0, *cuts, d)
+    return [
+        tuple(row[i:j] for row in h if not any(row[:i]) and not any(row[j:]))
+        for i, j in zip(bounds, bounds[1:])
+    ]
+
+
 def direct_sum_decompose(c):
     """Finest decomposition of c as a lattice direct sum of lower cones.
 
-    Returns the indecomposable factors (each in coordinates of a lattice
-    basis of its span), sorted by decreasing dimension then index; a
-    singleton list when c is irreducible.
-
-    Every split partitions the rays of a basis b (the first d independent
-    rays), so it is a set s of basis positions. With D = det b and
-    a = adj b, x = (x a) b / D, and s splits Z^d iff every ray's support in
-    x a lies inside s or outside it and the projection a diag(1_s) b / D
-    onto span(s) along the rest is integral. Splitting sets are closed
-    under complement and intersection, so the factors are the atoms: the
-    smallest splitting set holding the first unplaced position, by size.
+    Returns the indecomposable factors, sorted by decreasing dimension,
+    then index, then key; a singleton list when c is irreducible. Like
+    :func:`canonical_key`, it reads the smaller of the rays and the facets
+    (the dual of a direct sum is the sum of the duals). A column HNF is
+    unique and a block-diagonal matrix of HNFs is an HNF, so c splits
+    exactly when some image of :func:`intlinalg.hnf_images` is block-
+    diagonal with every other generator on one side of each cut; the
+    image with the most cuts gives one factor per block, in its columns.
     """
-    d = c.dim
-    b = [c.rays[i] for i in islice(la.independent(c.rays), d)]
-    big_d = la.det(b)
-    a = la.adjugate(b)
-    supports = [sum(1 << j for j, x in enumerate(la.vec_mat(r, a)) if x) for r in c.rays]
-
-    def projection(s):  # D * p_s
-        return [[sum(a[i][j] * b[j][k] for j in s) for k in range(d)] for i in range(d)]
-
-    def splits(s):
-        mask = sum(1 << j for j in s)
-        return all(t & mask in (0, t) for t in supports) and not any(
-            x % big_d for row in projection(s) for x in row
-        )
-
-    atoms, rest = [], list(range(d))
-    while rest:
-        found = ((rest[0], *x) for n in range(len(rest) - 1) for x in combinations(rest[1:], n))
-        atom = next((s for s in found if splits(s)), rest)
-        atoms.append(atom)
-        rest = [j for j in rest if j not in atom]
-    if len(atoms) == 1:
+    if len(c.rays) <= len(c.facets):
+        rows, build = c.rays, cone_from_rays
+    else:
+        rows, build = c.facets, cone_from_facets
+    blocks = _finest_split(la.hnf_images(rows), c.dim)
+    if len(blocks) == 1:
         return [c]
-
-    factors = []
-    for s in atoms:
-        mask = sum(1 << j for j in s)
-        # the columns of p_s span the integer functionals vanishing on the
-        # rest, so their Hermite basis gives lattice coordinates on span(s)
-        p = la.transpose([[x // big_d for x in row] for row in projection(s)])
-        k = [row for row in la.row_hnf(p) if any(row)]
-        part = [r for r, t in zip(c.rays, supports) if t & mask]
-        factors.append(cone_from_rays([la.mat_vec(k, r) for r in part]))
+    factors = [build(b) for b in blocks]
     return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))

@@ -21,7 +21,8 @@ is each image of the orbit search, so the combinations the step picks
 never show in a result. The step's extended Euclid, :func:`xgcd`, is the
 package's only one: ``surface`` takes the Bezout pair of its 2-D
 standard form from it too. Adjugates come from cofactor normals; ``cones``
-reads direct sums off a ray basis's adjugate.
+and ``classify`` read direct sums off the block-diagonal images of
+:func:`hnf_images`.
 """
 
 from __future__ import annotations

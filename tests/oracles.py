@@ -1,11 +1,11 @@
 """Reference routes that faster library code is checked against, and the
 random unimodular maps the equivalence tests draw."""
 
-from itertools import permutations
+from itertools import combinations, islice, permutations
 
 from nashcones import intlinalg as la
 from nashcones.classify import _display, _factor_name
-from nashcones.cones import cone_from_facets, direct_sum_decompose
+from nashcones.cones import canonical_key, cone_from_facets, cone_from_rays, index
 from nashcones.nash import MEMOIZED
 from nashcones.serialize import _subtree_shape
 
@@ -177,15 +177,67 @@ def reducibility_label(reducibility):
     return " ⊕ ".join(terms)
 
 
-# The direct-sum split of a class by the general decomposition, the
-# reference for the orbit read in classify.classify.
+# The direct-sum split by one integral projection per set of ray-basis
+# positions, the reference for the orbit read of cones.direct_sum_decompose
+# and classify.classify.
+
+
+def direct_sum_by_projection(c):
+    """Finest decomposition of c as a lattice direct sum of lower cones.
+
+    Returns the indecomposable factors (each in coordinates of a lattice
+    basis of its span), sorted by decreasing dimension then index; a
+    singleton list when c is irreducible.
+
+    Every split partitions the rays of a basis b (the first d independent
+    rays), so it is a set s of basis positions. With D = det b and
+    a = adj b, x = (x a) b / D, and s splits Z^d iff every ray's support in
+    x a lies inside s or outside it and the projection a diag(1_s) b / D
+    onto span(s) along the rest is integral. Splitting sets are closed
+    under complement and intersection, so the factors are the atoms: the
+    smallest splitting set holding the first unplaced position, by size.
+    """
+    d = c.dim
+    b = [c.rays[i] for i in islice(la.independent(c.rays), d)]
+    big_d = la.det(b)
+    a = la.adjugate(b)
+    supports = [sum(1 << j for j, x in enumerate(la.vec_mat(r, a)) if x) for r in c.rays]
+
+    def projection(s):  # D * p_s
+        return [[sum(a[i][j] * b[j][k] for j in s) for k in range(d)] for i in range(d)]
+
+    def splits(s):
+        mask = sum(1 << j for j in s)
+        return all(t & mask in (0, t) for t in supports) and not any(
+            x % big_d for row in projection(s) for x in row
+        )
+
+    atoms, rest = [], list(range(d))
+    while rest:
+        found = ((rest[0], *x) for n in range(len(rest) - 1) for x in combinations(rest[1:], n))
+        atom = next((s for s in found if splits(s)), rest)
+        atoms.append(atom)
+        rest = [j for j in rest if j not in atom]
+    if len(atoms) == 1:
+        return [c]
+
+    factors = []
+    for s in atoms:
+        mask = sum(1 << j for j in s)
+        # the columns of p_s span the integer functionals vanishing on the
+        # rest, so their Hermite basis gives lattice coordinates on span(s)
+        p = la.transpose([[x // big_d for x in row] for row in projection(s)])
+        k = [row for row in la.row_hnf(p) if any(row)]
+        part = [r for r, t in zip(c.rays, supports) if t & mask]
+        factors.append(cone_from_rays([la.mat_vec(k, r) for r in part]))
+    return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))
 
 
 def reducibility_by_decompose(cls):
-    """cls.reducibility through :func:`cones.direct_sum_decompose`, whose
+    """cls.reducibility through :func:`direct_sum_by_projection`, whose
     factors come sorted by decreasing dimension, then index, then key, each
     named by its least HNF image."""
-    factors = direct_sum_decompose(cls.cone)
+    factors = direct_sum_by_projection(cls.cone)
     if len(factors) == 1:
         return ()
     return tuple(_factor_name(f) for f in factors)

@@ -10,8 +10,6 @@ import oracles
 from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
-    _cuts,
-    _finest_split,
     _perm_equivalent,
     class_counts,
     classify,
@@ -19,9 +17,10 @@ from nashcones.classify import (
     enumerate_hnf,
 )
 from nashcones.cones import (
+    _cuts,
+    _finest_split,
     canonical_key,
     cone_from_facets,
-    direct_sum_decompose,
     dual_index,
     equivalent,
     index,
@@ -233,7 +232,7 @@ def test_reducibility_labels():
         ("D_8_68", "B_{2,1} ⊕ B_{4,1}"),
         ("D_8_75", "B_{2,1} ⊕ B_{4,2}"),
     ):
-        assert _cuts(by_name[name].presentation) == [], name
+        assert _cuts(by_name[name].presentation, 4) == [], name
         assert by_name[name].reducibility_label == label, name
 
 
@@ -278,8 +277,8 @@ def _block_sums(draw):
 @given(_block_sums())
 def test_orbit_split_matches_decomposition(rows):
     cone = simplicial_cone(rows)
-    blocks = _finest_split(la.hnf_images(cone.facets))
-    factors = direct_sum_decompose(cone)
+    blocks = _finest_split(la.hnf_images(cone.facets), cone.dim)
+    factors = oracles.direct_sum_by_projection(cone)
     assert len(blocks) == len(factors)
     least = sorted(min(la.hnf_images(b)) for b in blocks)
     assert least == sorted(min(la.hnf_images(f.facets)) for f in factors)

@@ -23,10 +23,10 @@ from nashcones.cones import (
     minkowski_sum_hull,
     simplicial_cone,
 )
-from nashcones.classify import _perm_equivalent
+from nashcones.classify import _perm_equivalent, classify
 from nashcones.errors import NotAVertex, NotProper
 
-from oracles import localize_by_tight_facets, random_unimodular
+from oracles import direct_sum_by_projection, localize_by_tight_facets, random_unimodular
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, presentation
 
 
@@ -703,6 +703,51 @@ def test_decompose_image_of_direct_sum(case):
 
     want = summary(direct_sum_decompose(c1) + direct_sum_decompose(c2))
     assert summary(direct_sum_decompose(apply_unimodular(u, c))) == want
+
+
+def _factor_summary(factors):
+    return sorted(
+        (f.dim, len(f.rays), len(f.facets), index(f), dual_index(f), canonical_key(f))
+        for f in factors
+    )
+
+
+def _assert_decompose_matches_projection(c):
+    want = _factor_summary(direct_sum_by_projection(c))
+    assert _factor_summary(direct_sum_decompose(c)) == want, c
+
+
+def test_decompose_matches_the_projection_oracle_on_the_tables():
+    for d, top in ((3, 27), (4, 8), (5, 3)):
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                _assert_decompose_matches_projection(simplicial_cone(cls.presentation))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_direct_sums())
+def test_decompose_matches_the_projection_oracle_on_direct_sums(case):
+    c1, c2, u = case
+    pad1, pad2 = (0,) * c1.dim, (0,) * c2.dim
+    c = cone_from_rays([r + pad2 for r in c1.rays] + [pad1 + r for r in c2.rays])
+    _assert_decompose_matches_projection(apply_unimodular(u, c))
+
+
+# A cone over a triangular prism plus a ray: 7 rays and 6 facets, so
+# direct_sum_decompose reads its facets; its dual has 6 rays and 7 facets.
+PRISM_PLUS_RAY = [(x, y, z, 1, 0) for z in (0, 1) for x, y in ((0, 0), (1, 0), (0, 1))]
+PRISM_PLUS_RAY.append((0, 0, 0, 0, 1))
+
+
+def test_decompose_prism_plus_a_ray_and_its_dual():
+    c = cone_from_rays(PRISM_PLUS_RAY)
+    assert (len(c.rays), len(c.facets)) == (7, 6)
+    rng = random.Random(23)
+    for cone, prism in ((c, (4, 6, 5)), (dual(c), (4, 5, 6))):
+        factors = direct_sum_decompose(cone)
+        assert [(f.dim, len(f.rays), len(f.facets)) for f in factors] == [prism, (1, 1, 1)]
+        for _ in range(5):
+            _assert_decompose_matches_projection(apply_unimodular(random_unimodular(rng, 5), cone))
 
 
 # ---------------------------------------------------------------- misc
