@@ -11,12 +11,9 @@ lists. :func:`classify` walks the sorted enumeration once: a matrix not
 yet marked starts a new class (and is the lex-least member of it, so a
 factor is named by its least image), and marks the rest of its orbit.
 
-The same orbit gives the class's finest direct sum, by the one rule
-of :func:`cones.direct_sum_decompose`: a cone is a lattice direct sum
-exactly when some image is block-diagonal, and the image with the most
-cuts has one diagonal block per atom of the split, the factors'
-presentations. :func:`classify` reads its splits from the images it
-has listed, through :func:`cones._finest_split`.
+The same orbit gives the class's finest direct sum, by the rule
+:func:`cones.direct_sum_decompose` states: the first image with the most
+cuts (:func:`cones._finest_split`) has one diagonal block per factor.
 """
 
 from __future__ import annotations
@@ -158,7 +155,7 @@ def classify(d, idx):
         pending.update(images)
         pending.discard(m)
         cone = simplicial_cone(m)
-        blocks = _finest_split(images, d)
+        blocks = _finest_split(images)
         if len(blocks) == 1:
             reducibility = ()
         else:

@@ -18,16 +18,15 @@ Canonical keys come from the GL(d,Z) orbit search of
 resolution tree, can hand :func:`canonical_key` a registry of the class
 minima keyed so far; a cone of a registered class stops the search at
 the first image that sorts to its class's minimum, and takes its key
-unchanged. Lattice direct sums are read off the same orbit, by one rule
-that :func:`direct_sum_decompose` and ``classify`` share: the images
-that are block-diagonal.
+unchanged. Lattice direct sums are read off column HNFs, by the rule
+:func:`direct_sum_decompose` states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
+from itertools import combinations, islice
 from operator import and_
 
 from . import intlinalg as la
@@ -411,11 +410,12 @@ def canonical_key(c, registry=None) -> bytes:
 # sums
 
 
-def _cuts(h, d):
-    """The k in 1..d-1 at which the HNF image h splits: the lower
-    triangular h[:d] has a zero lower-left block h[k:d][:k] (read up from
-    row d - 1, stopping at a row that starts nonzero, as most do), and
-    every other row is zero on one side of k."""
+def _cuts(h):
+    """The k in 1..d-1 at which the HNF image h, d = len(h[0]), splits:
+    its lower triangular basis rows h[:d] have a zero lower-left block
+    h[k:d][:k] (read up from row d - 1, stopping at a row that starts
+    nonzero, as most do), and every other row is zero on one side of k."""
+    d = len(h[0])
     cuts, low = [], d
     for k in range(d - 1, 0, -1):
         low = min(low, next(j for j, x in enumerate(h[k]) if x))
@@ -429,37 +429,54 @@ def _cuts(h, d):
     return cuts[::-1]
 
 
-def _finest_split(images, d):
+def _finest_split(images):
     """The blocks of the first of the HNF images of one orbit with the most
-    cuts: for each, the rows supported in it, restricted to its columns.
+    cuts: for each, the rows nonzero in it (each row is nonzero in one
+    block only), restricted to its columns.
     They present the atoms of the finest lattice direct sum, one block
-    when the cone is irreducible."""
-    h, cuts = max(((h, _cuts(h, d)) for h in images), key=lambda pair: len(pair[1]))
-    bounds = (0, *cuts, d)
-    return [
-        tuple(row[i:j] for row in h if not any(row[:i]) and not any(row[j:]))
-        for i, j in zip(bounds, bounds[1:])
-    ]
+    when the cone is irreducible (see :func:`direct_sum_decompose`)."""
+    h, cuts = max(((h, _cuts(h)) for h in images), key=lambda pair: len(pair[1]))
+    bounds = (0, *cuts, len(h[0]))
+    return [tuple(row[i:j] for row in h if any(row[i:j])) for i, j in zip(bounds, bounds[1:])]
 
 
 def direct_sum_decompose(c):
-    """Finest decomposition of c as a lattice direct sum of lower cones.
+    """Finest decomposition of c as a lattice direct sum of lower cones:
+    the indecomposable factors, each in coordinates of a lattice basis of
+    its span, sorted by decreasing dimension, then index, then key; [c]
+    when c is irreducible.
 
-    Returns the indecomposable factors, sorted by decreasing dimension,
-    then index, then key; a singleton list when c is irreducible. Like
-    :func:`canonical_key`, it reads the smaller of the rays and the facets
-    (the dual of a direct sum is the sum of the duals). A column HNF is
-    unique and a block-diagonal matrix of HNFs is an HNF, so c splits
-    exactly when some image of :func:`intlinalg.hnf_images` is block-
-    diagonal with every other generator on one side of each cut; the
-    image with the most cuts gives one factor per block, in its columns.
+    This is the one direct-sum rule, which ``classify`` shares. Order a
+    basis b of the rays first and take the column HNF of the rays, their
+    image under the unimodular u that puts b in column HNF. At a cut
+    (:func:`_cuts`), u splits Z^d and the rays. Conversely, when c = c1 +
+    c2, each ray of b lies in one summand, and b ordered summand by summand
+    has a block-diagonal column HNF (it is unique, and a block-diagonal
+    matrix of HNFs is one), so a cut depends only on the set of basis
+    positions before it. These splitting sets are closed under complement
+    and intersection, so the factors are the atoms, each the smallest
+    splitting set holding the first unplaced position: at most 2^(d-1) - 1
+    sets tried. Ordered atom by atom, the image cuts at each atom's end
+    and nowhere else, and its blocks (:func:`_finest_split`) are the
+    factors.
     """
-    if len(c.rays) <= len(c.facets):
-        rows, build = c.rays, cone_from_rays
-    else:
-        rows, build = c.facets, cone_from_facets
-    blocks = _finest_split(la.hnf_images(rows), c.dim)
-    if len(blocks) == 1:
+    d = c.dim
+    basis = list(islice(la.independent(c.rays), d))
+    rows = [c.rays[i] for i in basis] + [r for i, r in enumerate(c.rays) if i not in basis]
+
+    def image(s, gens):  # basis positions s first
+        return la.column_hnf([gens[j] for j in s] + [r for j, r in enumerate(gens) if j not in s])
+
+    def splits(s):  # the basis alone first: most sets fail there
+        return all(len(s) in _cuts(image(s, part)) for part in (rows[:d], rows))
+
+    atoms, rest = [], tuple(range(d))
+    while rest:
+        found = ((rest[0], *x) for n in range(len(rest) - 1) for x in combinations(rest[1:], n))
+        atom = next((s for s in found if splits(s)), rest)
+        atoms.append(atom)
+        rest = tuple(j for j in rest if j not in atom)
+    if len(atoms) == 1:
         return [c]
-    factors = [build(b) for b in blocks]
+    factors = [cone_from_rays(b) for b in _finest_split([image(sum(atoms, ()), rows)])]
     return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))

@@ -20,9 +20,9 @@ Theory, Alg. 2.4.5). The row Hermite form of a matrix is unique, and so
 is each image of the orbit search, so the combinations the step picks
 never show in a result. The step's extended Euclid, :func:`xgcd`, is the
 package's only one: ``surface`` takes the Bezout pair of its 2-D
-standard form from it too. Adjugates come from cofactor normals; ``cones``
-and ``classify`` read direct sums off the block-diagonal images of
-:func:`hnf_images`.
+standard form from it too. Adjugates come from cofactor normals. Direct
+sums are read off column HNFs by the rule ``cones.direct_sum_decompose``
+states.
 """
 
 from __future__ import annotations

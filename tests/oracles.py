@@ -5,7 +5,7 @@ from itertools import combinations, islice, permutations
 
 from nashcones import intlinalg as la
 from nashcones.classify import _display, _factor_name
-from nashcones.cones import canonical_key, cone_from_facets, cone_from_rays, index
+from nashcones.cones import canonical_key, cone_from_facets, cone_from_rays, dual_index, index
 from nashcones.nash import MEMOIZED
 from nashcones.serialize import _subtree_shape
 
@@ -178,8 +178,8 @@ def reducibility_label(reducibility):
 
 
 # The direct-sum split by one integral projection per set of ray-basis
-# positions, the reference for the orbit read of cones.direct_sum_decompose
-# and classify.classify.
+# positions, the reference for the split test of cones.direct_sum_decompose
+# and the orbit read of classify.classify.
 
 
 def direct_sum_by_projection(c):
@@ -233,11 +233,19 @@ def direct_sum_by_projection(c):
     return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))
 
 
-def reducibility_by_decompose(cls):
-    """cls.reducibility through :func:`direct_sum_by_projection`, whose
-    factors come sorted by decreasing dimension, then index, then key, each
-    named by its least HNF image."""
-    factors = direct_sum_by_projection(cls.cone)
+def reducibility_of(factors):
+    """A class's reducibility from factors sorted by decreasing dimension,
+    then index, then key, as :func:`direct_sum_by_projection` returns
+    them: each named by its least HNF image, none when there is one."""
     if len(factors) == 1:
         return ()
     return tuple(_factor_name(f) for f in factors)
+
+
+def factor_summary(factors):
+    """Sorted (dim, rays, facets, I, I*, key) of direct-sum factors: equal
+    for equal factorizations, whatever coordinates each factor is in."""
+    return sorted(
+        (f.dim, len(f.rays), len(f.facets), index(f), dual_index(f), canonical_key(f))
+        for f in factors
+    )

@@ -21,6 +21,7 @@ from nashcones.cones import (
     _finest_split,
     canonical_key,
     cone_from_facets,
+    direct_sum_decompose,
     dual_index,
     equivalent,
     index,
@@ -232,7 +233,7 @@ def test_reducibility_labels():
         ("D_8_68", "B_{2,1} ⊕ B_{4,1}"),
         ("D_8_75", "B_{2,1} ⊕ B_{4,2}"),
     ):
-        assert _cuts(by_name[name].presentation, 4) == [], name
+        assert _cuts(by_name[name].presentation) == [], name
         assert by_name[name].reducibility_label == label, name
 
 
@@ -250,10 +251,15 @@ def test_reducibility_keeps_factor_order():
 
 
 def test_reducibility_matches_the_decomposition_oracle():
+    # classify's orbit read and direct_sum_decompose, against the
+    # projection route on every class of the dims 3-5 tables
     for d, top in ((3, 27), (4, 8), (5, 3)):
         for i in range(1, top + 1):
             for cls in classify(d, i):
-                assert cls.reducibility == oracles.reducibility_by_decompose(cls), cls.name
+                factors = oracles.direct_sum_by_projection(cls.cone)
+                assert cls.reducibility == oracles.reducibility_of(factors), cls.name
+                got = oracles.factor_summary(direct_sum_decompose(cls.cone))
+                assert got == oracles.factor_summary(factors), cls.name
 
 
 @st.composite
@@ -277,7 +283,7 @@ def _block_sums(draw):
 @given(_block_sums())
 def test_orbit_split_matches_decomposition(rows):
     cone = simplicial_cone(rows)
-    blocks = _finest_split(la.hnf_images(cone.facets), cone.dim)
+    blocks = _finest_split(la.hnf_images(cone.facets))
     factors = oracles.direct_sum_by_projection(cone)
     assert len(blocks) == len(factors)
     least = sorted(min(la.hnf_images(b)) for b in blocks)

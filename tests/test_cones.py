@@ -23,10 +23,15 @@ from nashcones.cones import (
     minkowski_sum_hull,
     simplicial_cone,
 )
-from nashcones.classify import _perm_equivalent, classify
+from nashcones.classify import _perm_equivalent
 from nashcones.errors import NotAVertex, NotProper
 
-from oracles import direct_sum_by_projection, localize_by_tight_facets, random_unimodular
+from oracles import (
+    direct_sum_by_projection,
+    factor_summary,
+    localize_by_tight_facets,
+    random_unimodular,
+)
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, presentation
 
 
@@ -688,16 +693,14 @@ def _direct_sums(draw):
     return draw(_small_cones(d1)), draw(_small_cones(d2)), u
 
 
-def _factor_summary(factors):
-    return sorted(
-        (f.dim, len(f.rays), len(f.facets), index(f), dual_index(f), canonical_key(f))
-        for f in factors
-    )
+def _direct_sum(rays1, rays2):
+    pad1, pad2 = (0,) * len(rays1[0]), (0,) * len(rays2[0])
+    return cone_from_rays([r + pad2 for r in rays1] + [pad1 + r for r in rays2])
 
 
 def _assert_decompose_matches_projection(c):
-    want = _factor_summary(direct_sum_by_projection(c))
-    assert _factor_summary(direct_sum_decompose(c)) == want, c
+    want = factor_summary(direct_sum_by_projection(c))
+    assert factor_summary(direct_sum_decompose(c)) == want, c
 
 
 @settings(max_examples=100, deadline=None)
@@ -706,23 +709,14 @@ def test_decompose_image_of_direct_sum(case):
     # the factors of U (c1 + c2) are those of c1 and of c2, up to GL(d,Z),
     # and those the projection oracle finds
     c1, c2, u = case
-    pad1, pad2 = (0,) * c1.dim, (0,) * c2.dim
-    c = cone_from_rays([r + pad2 for r in c1.rays] + [pad1 + r for r in c2.rays])
-    img = apply_unimodular(u, c)
-    want = _factor_summary(direct_sum_decompose(c1) + direct_sum_decompose(c2))
-    assert _factor_summary(direct_sum_decompose(img)) == want
+    img = apply_unimodular(u, _direct_sum(c1.rays, c2.rays))
+    want = factor_summary(direct_sum_decompose(c1) + direct_sum_decompose(c2))
+    assert factor_summary(direct_sum_decompose(img)) == want
     _assert_decompose_matches_projection(img)
 
 
-def test_decompose_matches_the_projection_oracle_on_the_tables():
-    for d, top in ((3, 27), (4, 8), (5, 3)):
-        for i in range(1, top + 1):
-            for cls in classify(d, i):
-                _assert_decompose_matches_projection(simplicial_cone(cls.presentation))
-
-
-# A cone over a triangular prism plus a ray: 7 rays and 6 facets, so
-# direct_sum_decompose reads its facets; its dual has 6 rays and 7 facets.
+# A cone over a triangular prism plus a ray: 7 rays and 6 facets; its
+# dual has 6 rays and 7 facets.
 PRISM_PLUS_RAY = [(x, y, z, 1, 0) for z in (0, 1) for x, y in ((0, 0), (1, 0), (0, 1))]
 PRISM_PLUS_RAY.append((0, 0, 0, 0, 1))
 
@@ -736,6 +730,39 @@ def test_decompose_prism_plus_a_ray_and_its_dual():
         assert [(f.dim, len(f.rays), len(f.facets)) for f in factors] == [prism, (1, 1, 1)]
         for _ in range(5):
             _assert_decompose_matches_projection(apply_unimodular(random_unimodular(rng, 5), cone))
+
+
+def _simplex_product(a, b):
+    """The rays of the cone over a product of an a- and a b-simplex, in
+    Z^(a + b + 1): e_i + f_j, the last f dropped (it is sum e - sum f)."""
+    return [
+        tuple(int(k == i) for k in range(a + 1)) + tuple(int(k == j) for k in range(b))
+        for i in range(a + 1)
+        for j in range(b + 1)
+    ]
+
+
+def test_decompose_many_rays_and_facets(monkeypatch):
+    # over a segment times a 5-simplex: 7-D, 12 rays, 8 facets and
+    # irreducible. Each of the 2^6 - 1 sets of basis positions holding the
+    # first costs at most two column HNFs, one step per column of the
+    # basis and of all 12 rays, where the orbit search over the facets
+    # alone has 8! leaves.
+    c = cone_from_rays(_simplex_product(1, 5))
+    assert (c.dim, len(c.rays), len(c.facets)) == (7, 12, 8)
+    steps = []
+    pivot = la._pivot
+    monkeypatch.setattr(la, "_pivot", lambda *args: steps.append(args) or pivot(*args))
+    rng = random.Random(24)
+    for u in (la.identity(7), random_unimodular(rng, 7), random_unimodular(rng, 7)):
+        img = apply_unimodular(u, c)
+        steps.clear()
+        assert direct_sum_decompose(img) == [img]
+        assert len(steps) <= (7 + 12) * (2**6 - 1)
+    # 7-D, 10 rays, 9 facets: a 4-D and a 3-D factor
+    c = _direct_sum(_simplex_product(1, 2), _simplex_product(1, 1))
+    for _ in range(3):
+        _assert_decompose_matches_projection(apply_unimodular(random_unimodular(rng, 7), c))
 
 
 # ---------------------------------------------------------------- misc
