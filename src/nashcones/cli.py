@@ -18,7 +18,7 @@ from math import gcd
 from . import checks, serialize
 from .classify import classify, class_counts, cone_by_name
 from .cones import cone_from_facets, cone_from_rays
-from .errors import BudgetExceeded, LatticeError, NotProper
+from .errors import BudgetExceeded
 from .hilbert import hilbert_basis
 from .nash import resolution_tree, tree_stats, unique_cone_count
 from .surface import StdCone2D, hilbert_basis_2d, hj_expand, nash_blowup_2d, resolve_2d
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    except (NotProper, LatticeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # NotProper and LatticeError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -186,28 +186,25 @@ def tree_stats(tree) -> TreeStats:
 
 
 def unique_cone_count(tree) -> int:
-    """Number of distinct cone classes reachable in the tree (memo-deduplicated)."""
+    """Number of distinct cone classes reachable in the tree (memo-deduplicated).
+
+    One depth-first walk over tree nodes and memo child keys; a key first
+    met as a tree node is never expanded through the memo."""
     seen = set()
     memo = tree.memo
-
-    def walk_key(key):
-        if key in seen:
-            return
-        seen.add(key)
-        entry = memo.get(key)
-        if entry is not None:
-            for ck in entry.child_keys:
-                walk_key(ck)
-
-    def walk(node):
-        seen.add(node.key)
-        if node.status == MEMOIZED:
-            for ck in memo[node.key].child_keys:
-                walk_key(ck)
-        for ch in node.children:
-            walk(ch)
-
-    walk(tree.root)
+    stack = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TreeNode):
+            seen.add(item.key)
+            if item.status == MEMOIZED:
+                stack.extend(reversed(memo[item.key].child_keys))
+            stack.extend(reversed(item.children))
+        elif item not in seen:
+            seen.add(item)
+            entry = memo.get(item)
+            if entry is not None:
+                stack.extend(reversed(entry.child_keys))
     return len(seen)
 
 

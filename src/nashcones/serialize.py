@@ -4,7 +4,7 @@ Text mirrors the tabular convention: depth-indented lines carrying the
 presentation rows and the bracketed index pair. JSON encodes all integers
 as decimal strings so consumers with 64-bit parsers never truncate. The
 cache is an append-only JSON-lines log of resolved subtrees keyed by
-canonical form.
+canonical form; a line that is not a record is skipped on load.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _entry_from_record(rec) -> MemoEntry:
         raise ValueError("cache record counts must be non-negative ints")  # bool is not accepted
     if not (_positive_decimal(rec["I"]) and _positive_decimal(rec["Istar"])):
         raise ValueError("cache record indices must be decimal strings of positive ints")
-    if rec["status"] not in ("resolved", "pruned", "budget"):
+    if rec["status"] not in ("resolved", "pruned"):
         raise ValueError(f"unknown cache record status {rec['status']!r}")
     children = rec["child_keys"]
     if type(children) is not list:  # bytes.fromhex rejects any item but a hex str
@@ -193,11 +193,11 @@ def _entry_from_record(rec) -> MemoEntry:
 def load_cache(path, prune=None) -> dict:
     """Replay a cache log into a memo map for the given pruning threshold.
 
-    A corrupt trailing line is tolerated (everything from the first line
-    that is not JSON, or not shaped like a record, on is ignored); duplicate
-    keys must carry identical
-    payloads. Records of unresolved subtrees ("status": "budget"), which
-    older versions wrote, are skipped.
+    A line that is not a record (blank, not JSON, or not shaped like one,
+    as the ``"status": "budget"`` records of older versions) is skipped;
+    duplicate keys must carry identical payloads. A record appended onto a
+    truncated last line joins it and is lost, until a later run appends it
+    again on a line of its own.
     """
     memo = {}
     try:
@@ -206,15 +206,13 @@ def load_cache(path, prune=None) -> dict:
     except FileNotFoundError:
         return memo
     for line in lines:
-        if not line.strip():
-            continue
         try:
             rec = json.loads(line)
             key = bytes.fromhex(rec["key"])
             entry = _entry_from_record(rec)
         except (KeyError, TypeError, ValueError):
-            break  # truncated, corrupt or misshapen tail; ignore the rest
-        if rec.get("prune") != prune or rec["status"] == "budget":
+            continue
+        if rec.get("prune") != prune:
             continue
         if key in memo and memo[key] != entry:
             raise ValueError(f"cache {path}: conflicting records for key {rec['key'][:16]}...")

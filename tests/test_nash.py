@@ -23,6 +23,9 @@ from nashcones.cones import (
 from nashcones.errors import BudgetExceeded
 from nashcones.hilbert import hilbert_basis
 from nashcones.nash import (
+    MemoEntry,
+    ResolutionTree,
+    TreeNode,
     _min_weight_sum,
     _sum_hull,
     nash_blowup,
@@ -461,6 +464,24 @@ def test_memoization_consistency():
     memo = resolution_tree(c, memoize=True)
     assert tree_stats(plain) == tree_stats(memo)
     assert unique_cone_count(memo) == unique_cone_count(plain)
+
+
+def test_unique_count_walks_depth_first():
+    # a memoized leaf a whose memo entry leads to b, and a depth-capped
+    # leaf b whose memo entry leads to c: b is expanded through the memo
+    # only when the walk meets it under a first, never when met as a node
+    memo = {k: MemoEntry(3, 2, 2, 1, 2, 3, False, (kid,))
+            for k, kid in [(b"a", b"b"), (b"b", b"c")]}
+    a = TreeNode(None, 2, 2, "memoized", b"a")
+    b = TreeNode(None, 2, 2, "pruned-depth", b"b", resolved=False)
+
+    def count(children):
+        tree = ResolutionTree(None, True, 1, 100, memo)
+        tree.root = TreeNode(None, 4, 4, "expanded", b"r", children=children)
+        return unique_cone_count(tree)
+
+    assert count([a, b]) == 4
+    assert count([b, a]) == 3
 
 
 def test_memoized_subtree_stats():
