@@ -188,23 +188,23 @@ def tree_stats(tree) -> TreeStats:
 def unique_cone_count(tree) -> int:
     """Number of distinct cone classes reachable in the tree (memo-deduplicated).
 
-    One depth-first walk over tree nodes and memo child keys; a key first
-    met as a tree node is never expanded through the memo."""
-    seen = set()
-    memo = tree.memo
+    Each key reached from a memoized node is expanded through the memo once,
+    even where it heads a depth-capped node, so visit order never matters."""
+    seen, expanded = set(), set()
     stack = [tree.root]
     while stack:
         item = stack.pop()
         if isinstance(item, TreeNode):
             seen.add(item.key)
+            stack.extend(item.children)
             if item.status == MEMOIZED:
-                stack.extend(reversed(memo[item.key].child_keys))
-            stack.extend(reversed(item.children))
-        elif item not in seen:
+                stack.append(item.key)
+        elif item not in expanded:
+            expanded.add(item)
             seen.add(item)
-            entry = memo.get(item)
+            entry = tree.memo.get(item)
             if entry is not None:
-                stack.extend(reversed(entry.child_keys))
+                stack.extend(entry.child_keys)
     return len(seen)
 
 

@@ -194,10 +194,9 @@ def load_cache(path, prune=None) -> dict:
     """Replay a cache log into a memo map for the given pruning threshold.
 
     A line that is not a record (blank, not JSON, or not shaped like one,
-    as the ``"status": "budget"`` records of older versions) is skipped;
-    duplicate keys must carry identical payloads. A record appended onto a
-    truncated last line joins it and is lost, until a later run appends it
-    again on a line of its own.
+    as the ``"status": "budget"`` records of older versions) is skipped, and
+    so is a record whose subtree lost one, so no loaded subtree has a hole;
+    duplicate keys must carry identical payloads.
     """
     memo = {}
     try:
@@ -212,7 +211,10 @@ def load_cache(path, prune=None) -> dict:
             entry = _entry_from_record(rec)
         except (KeyError, TypeError, ValueError):
             continue
-        if rec.get("prune") != prune:
+        # records go out children first and a child with no record is a
+        # leaf, so the sizes add up only if no record of the subtree is lost
+        sizes = (memo[k].size if k in memo else 1 for k in entry.child_keys)
+        if rec.get("prune") != prune or entry.size != 1 + sum(sizes):
             continue
         if key in memo and memo[key] != entry:
             raise ValueError(f"cache {path}: conflicting records for key {rec['key'][:16]}...")

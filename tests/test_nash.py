@@ -466,22 +466,24 @@ def test_memoization_consistency():
     assert unique_cone_count(memo) == unique_cone_count(plain)
 
 
-def test_unique_count_walks_depth_first():
-    # a memoized leaf a whose memo entry leads to b, and a depth-capped
-    # leaf b whose memo entry leads to c: b is expanded through the memo
-    # only when the walk meets it under a first, never when met as a node
-    memo = {k: MemoEntry(3, 2, 2, 1, 2, 3, False, (kid,))
-            for k, kid in [(b"a", b"b"), (b"b", b"c")]}
-    a = TreeNode(None, 2, 2, "memoized", b"a")
+def test_unique_count_ignores_visit_order():
+    # a memo from earlier runs holds a -> b -> c. Under depth cap 3 the
+    # memoized leaf a at depth 1 fits, while the node b at depth 3 is
+    # capped: c is reached through the memo, whichever of a and b the walk
+    # meets first, as it is in the tree without a memo
+    memo = {b"a": MemoEntry(3, 2, 2, 2, 3, 3, False, (b"b",)),
+            b"b": MemoEntry(3, 2, 2, 1, 2, 3, False, (b"c",))}
+    a = TreeNode(None, 2, 2, "memoized", b"a", depth_below=2, size=3)
     b = TreeNode(None, 2, 2, "pruned-depth", b"b", resolved=False)
+    chain = TreeNode(None, 2, 2, "expanded", b"x", children=[
+        TreeNode(None, 2, 2, "expanded", b"y", children=[b])])
 
     def count(children):
-        tree = ResolutionTree(None, True, 1, 100, memo)
+        tree = ResolutionTree(None, True, 3, 100, memo)
         tree.root = TreeNode(None, 4, 4, "expanded", b"r", children=children)
         return unique_cone_count(tree)
 
-    assert count([a, b]) == 4
-    assert count([b, a]) == 3
+    assert count([chain, a]) == count([a, chain]) == 6
 
 
 def test_memoized_subtree_stats():
