@@ -193,14 +193,14 @@ def _entry_from_record(rec) -> MemoEntry:
 def load_cache(path, prune=None) -> dict:
     """Replay a cache log into a memo map for the given pruning threshold.
 
-    A line that is not a record (blank, not JSON, or not shaped like one,
-    as the ``"status": "budget"`` records of older versions) is skipped, and
-    so is a record whose subtree lost one, so no loaded subtree has a hole;
-    duplicate keys must carry identical payloads.
+    A line that is not a record (blank, not UTF-8 or JSON, nested past the
+    decoder's limit, or misshapen, as older versions' ``"status": "budget"``
+    records) is skipped, and so is a record whose subtree lost one, so no
+    loaded subtree has a hole; duplicate keys must carry identical payloads.
     """
     memo = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    try:  # a byte that is not UTF-8 reads as a lone surrogate, which no record field accepts
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
     except FileNotFoundError:
         return memo
@@ -209,7 +209,7 @@ def load_cache(path, prune=None) -> dict:
             rec = json.loads(line)
             key = bytes.fromhex(rec["key"])
             entry = _entry_from_record(rec)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, RecursionError):
             continue
         # records go out children first and a child with no record is a
         # leaf, so the sizes add up only if no record of the subtree is lost

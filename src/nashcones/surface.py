@@ -1,8 +1,9 @@
 """The complete 2-D theory: Hirzebruch-Jung continued fractions, closed-form
 Hilbert bases, the consecutive-sum boundary, blow-up descent, and full
-surface resolution. The standard form is closed-form too: one Bezout pair
-of the clockwise ray, from the kernel's one extended Euclid
-(:func:`intlinalg.xgcd`), and one division.
+surface resolution, all on integer pairs: a Hilbert basis is one Euclid loop
+on (p, q), and a resolution blows up each distinct cone once. The standard
+form is one Bezout pair of the clockwise ray, from the kernel's one extended
+Euclid (:func:`intlinalg.xgcd`), and one division.
 """
 
 from __future__ import annotations
@@ -75,30 +76,27 @@ def hj_eval(terms) -> Fraction:
     return Fraction(n, m)
 
 
-def hj_expand(x) -> HJExpansion:
-    """The unique expansion of a rational with a_i > 1 past the first term.
-
-    Round up, subtract, invert, as a Euclid step on the pair x = p/q:
-    a = ceil(p/q), and the remainder (a*q - p)/q inverts to q/(a*q - p).
-    Terminates because the denominators of the remainders strictly
-    decrease. Each step also takes the convergent recurrence
-    (p_i, q_i) = a_i (p_{i-1}, q_{i-1}) - (p_{i-2}, q_{i-2}) one term on,
-    from the seed pair (p_{-1}, q_{-1}) = (0, -1), (p_0, q_0) = (1, 0).
-    """
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    terms = []
-    prev, cur = (0, -1), (1, 0)
-    convergents = [cur]
-    while True:
-        a = -((-p) // q)
+def _hj_euclid(p, q):
+    """Terms and convergents of p/q, q > 0, as lists, by Euclid steps:
+    a = ceil(p/q), then (p, q) -> (q, a*q - p) until q is 0 (round up,
+    subtract, invert). Each step takes (p_i, q_i) = a_i (p_{i-1}, q_{i-1})
+    - (p_{i-2}, q_{i-2}) one term on from (0, -1), (1, 0). The terms depend
+    only on the ratio, so an unreduced pair gives the same lists."""
+    terms, convergents = [], [(1, 0)]
+    p0, q0, p1, q1 = 0, -1, 1, 0
+    while q:
+        a = -(-p // q)
         terms.append(a)
-        prev, cur = cur, (a * cur[0] - prev[0], a * cur[1] - prev[1])
-        convergents.append(cur)
-        rem = a * q - p
-        if rem == 0:
-            break
-        p, q = q, rem
+        p0, q0, p1, q1 = p1, q1, a * p1 - p0, a * q1 - q0
+        convergents.append((p1, q1))
+        p, q = q, a * q - p
+    return terms, convergents
+
+
+def hj_expand(x) -> HJExpansion:
+    """The unique expansion of a rational with a_i > 1 past the first term."""
+    x = Fraction(x)
+    terms, convergents = _hj_euclid(x.numerator, x.denominator)
     return HJExpansion(tuple(terms), tuple(convergents))
 
 
@@ -144,9 +142,8 @@ def standard_form_2d(c):
 
 
 def hilbert_basis_2d(s) -> tuple:
-    """Hilbert basis of the standard cone: the expansion convergents."""
-    exp = hj_expand(Fraction(s.p, s.q))
-    return exp.convergents
+    """Hilbert basis of the standard cone: p/q's convergents, on integers."""
+    return tuple(_hj_euclid(s.p, s.q)[1])
 
 
 def nash_blowup_2d(s):
@@ -163,11 +160,11 @@ def nash_blowup_2d(s):
     if s.q <= 1:
         raise ValueError("cone is smooth; nothing to blow up")
     v = hilbert_basis_2d(s)
-    steps = [la.scale(v[0], -1)] + [la.vsub(c, a) for a, c in zip(v, v[2:])] + [v[-1]]
+    steps = [(-1, 0)] + [(c[0] - a[0], c[1] - a[1]) for a, c in zip(v, v[2:])] + [v[-1]]
     children = []
     for back, ahead in zip(steps, steps[1:]):
         if _cross(back, ahead) != 0:
-            std, _ = standardize_rays(la.primitive(la.scale(back, -1)), la.primitive(ahead))
+            std, _ = standardize_rays(la.primitive((-back[0], -back[1])), la.primitive(ahead))
             children.append(std)
     return children
 
@@ -175,13 +172,14 @@ def nash_blowup_2d(s):
 def resolve_2d(s):
     """Iterate blow-ups breadth-first until every cone is smooth.
 
-    Returns (steps, levels); levels[i] lists the cones after i steps.
+    Returns (steps, levels); levels[i] lists the cones after i steps, with
+    repeats. Each distinct cone is blown up once per call.
     """
+    children = {}
     levels = [[s]]
     while any(t.q > 1 for t in levels[-1]):
-        nxt = []
         for t in levels[-1]:
-            if t.q > 1:
-                nxt.extend(nash_blowup_2d(t))
-        levels.append(nxt)
+            if t.q > 1 and t not in children:
+                children[t] = nash_blowup_2d(t)
+        levels.append([c for t in levels[-1] if t.q > 1 for c in children[t]])
     return len(levels) - 1, levels

@@ -1,9 +1,11 @@
 """Reference routes that faster library code is checked against, and the
 random unimodular maps the equivalence tests draw."""
 
+from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 from nashcones import intlinalg as la
+from nashcones import surface
 from nashcones.classify import _display, _factor_name
 from nashcones.cones import canonical_key, cone_from_facets, cone_from_rays, dual_index, index
 from nashcones.nash import MEMOIZED
@@ -112,6 +114,23 @@ def standardize_rays(r1, r2):
     assert f > 0
     shear = ((1, -(e // f)), (0, 1))
     return (e - (e // f) * f, f), la.matmul(shear, first)
+
+
+# The Fraction-based 2-D blow-up, the reference for surface.nash_blowup_2d
+# on integer pairs.
+
+
+def nash_blowup_2d(s):
+    """Children of a singular standard cone: the Hilbert basis from the
+    expansion of Fraction(p, q), the boundary steps by vector helpers."""
+    v = surface.hj_expand(Fraction(s.p, s.q)).convergents
+    steps = [la.scale(v[0], -1)] + [la.vsub(c, a) for a, c in zip(v, v[2:])] + [v[-1]]
+    children = []
+    for back, ahead in zip(steps, steps[1:]):
+        if back[0] * ahead[1] - back[1] * ahead[0] != 0:
+            std, _ = surface.standardize_rays(la.primitive(la.scale(back, -1)), la.primitive(ahead))
+            children.append(std)
+    return children
 
 
 # The two-stage sibling grouping, the reference for serialize._group_children.

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -387,6 +388,24 @@ def test_cache_skips_a_garbage_first_line(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "line", [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe"], ids=["too-deep", "not-utf-8"]
+)
+def test_cache_skips_a_line_json_cannot_read(tmp_path, line):
+    # a line nested past the JSON decoder's limit, or one that is not
+    # UTF-8, is a line that is not a record like any other: the records
+    # after it load, and the run is served from them
+    args = ("resolve", "--name", "C_6_3")
+    clean = tmp_path / "clean.jsonl"
+    run_cli(*args, "--cache", str(clean))
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(line + b"\n" + clean.read_bytes())
+    memo = serialize.load_cache(str(cache), None)
+    assert len(memo) == 4 and memo == serialize.load_cache(str(clean), None)
+    code, _, err = run_cli(*args, "--cache", str(cache))
+    assert code == 0 and err.endswith("nodes-created 1\n")
+
+
+@pytest.mark.parametrize(
     "name, damage",
     [
         ("C_3_3", lambda lines: lines[:-1] + [lines[-1][:-20]]),  # the last line lost its tail
@@ -549,6 +568,23 @@ def test_hj_commands():
     assert out.strip() == "1 3 2 2"
     code, _, _ = run_cli("hj", "2", "4", "expand")
     assert code == 2  # not coprime
+
+
+# SHA-256 over the stdout of `hj P Q resolve` for every coprime pair
+# 0 <= p < q <= 60, ordered by q then p, taken before the blow-ups ran on
+# integer pairs; never regenerate.
+HJ_RESOLVE_DIGEST = "99eb6a9eaec4bbaf7dba8463b6c60eda9bc32a14c1e2f7e48740259d0b0b8b61"
+
+
+def test_hj_resolve_golden_digest():
+    pairs = [(p, q) for q in range(1, 61) for p in range(q) if math.gcd(p, q) == 1]
+    assert len(pairs) == 1102
+    digest = hashlib.sha256()
+    for p, q in pairs:
+        code, out, _ = run_cli("hj", str(p), str(q), "resolve")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == HJ_RESOLVE_DIGEST
 
 
 def test_python_m_runs_the_cli():

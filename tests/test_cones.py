@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nashcones import intlinalg as la
 from nashcones.cones import (
     Polyhedron,
+    _dd_cut,
     _dual_extreme_rays,
     canonical_key,
     cone_from_facets,
@@ -183,6 +184,21 @@ def test_dual_extreme_rays_incidence_bitsets(case):
     assert [r for r, _ in pairs] == _brute_dual_rays(gens, d)
     for r, tight in pairs:
         assert tight == sum(1 << k for k, g in enumerate(gens) if la.dot(g, r) == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generator_sets(pointed=False), st.data())
+def test_dd_cut_by_a_generator_that_cuts_nothing(case, data):
+    # a nonnegative combination of the generators is >= 0 on every dual
+    # ray: the cut keeps the rays as they are, in order, and sets its bit
+    # exactly on the rays it is tight on
+    d, gens = case
+    pairs = _dual_extreme_rays(gens, d)
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    a = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(d))
+    bit = 1 << len(gens)
+    want = [(r, t | bit if la.dot(a, r) == 0 else t) for r, t in pairs]
+    assert _dd_cut(pairs, a, bit, d) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nashcones import checks
+from nashcones import checks, surface
 from nashcones.cones import cone_from_rays, equivalent
 from nashcones.errors import ZeroDenominator
 from nashcones.surface import (
@@ -262,6 +262,8 @@ def test_standard_form_matches_the_two_matrix_oracle(r1, r2):
 def test_basis_2d_examples():
     assert hilbert_basis_2d(StdCone2D(4, 7)) == ((1, 0), (1, 1), (2, 3), (3, 5), (4, 7))
     assert hilbert_basis_2d(StdCone2D(0, 1)) == ((1, 0), (0, 1))
+    # the Euclid loop reads only the ratio p/q
+    assert hilbert_basis_2d(StdCone2D(8, 14)) == hilbert_basis_2d(StdCone2D(4, 7))
 
 
 def test_blowup_examples():
@@ -287,6 +289,14 @@ def test_blowup_2d_digest():
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == BLOWUP_2D_DIGEST
 
 
+def test_blowup_matches_the_fraction_oracle():
+    singular = [StdCone2D(p, q) for q in range(2, 121) for p in range(q) if gcd(p, q) == 1]
+    assert len(singular) == 4385
+    for s in singular:
+        assert hilbert_basis_2d(s) == hj_expand(Fraction(s.p, s.q)).convergents
+        assert nash_blowup_2d(s) == oracles.nash_blowup_2d(s), s
+
+
 def test_blowup_smooth_rejected():
     with pytest.raises(ValueError):
         nash_blowup_2d(StdCone2D(0, 1))
@@ -297,6 +307,26 @@ def test_resolve_examples():
     assert resolve_2d(StdCone2D(1, 2))[0] == 1
     steps, levels = resolve_2d(StdCone2D(4, 7))
     assert all(c.is_smooth for c in levels[-1])
+
+
+def test_resolve_blows_up_each_distinct_cone_once(monkeypatch):
+    # the levels keep their repeats, but each distinct cone is blown up
+    # once per call, and a second call starts afresh
+    blown = []
+
+    def counting(s):
+        blown.append(s)
+        return nash_blowup_2d(s)
+
+    monkeypatch.setattr(surface, "nash_blowup_2d", counting)
+    s = StdCone2D(29, 60)
+    steps, levels = surface.resolve_2d(s)
+    singular = [t for level in levels for t in level if t.q > 1]
+    assert len(singular) > len(set(singular)) and len(blown) == len(set(blown)) == len(set(singular))
+    assert levels[1:] == [
+        [c for t in level if t.q > 1 for c in nash_blowup_2d(t)] for level in levels[:-1]
+    ]
+    assert surface.resolve_2d(s) == (steps, levels) and len(blown) == 2 * len(set(singular))
 
 
 # ---------------------------------------------------------------- property
