@@ -49,9 +49,9 @@ def _add_cone_spec(parser):
 
 
 def _cone_from_args(args):
-    if args.name:
+    if args.name is not None:
         return cone_by_name(args.name)
-    if args.rays:
+    if args.rays is not None:
         return cone_from_rays(_parse_rows(args.rays))
     return cone_from_facets(_parse_rows(args.facets))
 

@@ -134,7 +134,10 @@ def _dd_cut(pairs, a, bit, d):
     adjacent rp, rn is tight on exactly their common set plus the cut,
     since each earlier g . w = sp (g . rn) - sn (g . rp) sums two
     nonnegative terms. Two rays are adjacent iff no third ray is tight on
-    all of their common set (Fukuda-Prodon 1996). Returns a new list.
+    all of their common set (Fukuda-Prodon 1996). Returns a new list, with
+    no ray twice: each new ray lies inside one edge that crosses the cut,
+    and two edges of the pointed dual meet only in a common ray, which is
+    off the cut.
     """
     new_pairs, pos, neg = [], [], []
     for r, t in pairs:
@@ -156,7 +159,7 @@ def _dd_cut(pairs, a, bit, d):
                 continue  # a third ray shares the common face: not adjacent
             w = la.primitive(tuple(sp * y - sn * x for x, y in zip(rp, rn)))
             new_pairs.append((w, common | bit))
-    return list(dict(new_pairs).items())  # parallel combinations repeat a ray
+    return new_pairs
 
 
 def _face(pairs, members, within):

@@ -4,11 +4,16 @@ Vectors are tuples of Python ints, matrices are tuples of row tuples.
 Python's arbitrary-precision ints make every operation exact; all
 functions here are pure.
 
-Besides the determinant, two eliminations carry the kernel: the greedy
-fraction-free echelon of :func:`independent` (rank, and every greedy
-basis the other modules pick) and the Hermite form :func:`row_hnf`
-(column forms, lattice indices and Smith forms), whose column step
-:func:`hnf_images` runs as the one GL(d,Z) orbit search.
+The determinant and the cofactor normal take closed forms up to order
+4, where most of the library's matrices fall: :func:`det` by cofactor
+expansion (Bareiss elimination above), :func:`normal` as (-a1, a0), the
+cross product and its 4-D analogue. The lattice index of a square
+matrix is its |det|. Beside them, two eliminations carry the kernel:
+the greedy fraction-free echelon of :func:`independent` (rank, and
+every greedy basis the other modules pick) and the Hermite form
+:func:`row_hnf` (column forms, the other lattice indices and Smith
+forms), whose column step :func:`hnf_images` runs as the one GL(d,Z)
+orbit search.
 :func:`least_images` runs the same search for the image with the least
 sorted rows, yielding each image below all before it: at a leaf's last
 step it takes the image's first column, one row's work, and leaves the
@@ -111,10 +116,12 @@ def vsub(a, b) -> Vec:
 
 
 def det(m) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant: closed cofactor forms for orders 1-4, and
+    fraction-free (Bareiss) elimination above.
 
-    Dimensions 1-3 use the closed cofactor forms; larger matrices run
-    Bareiss with row pivoting, which keeps all intermediate values integral.
+    Order 4 expands along row 0, its cofactors being the :func:`normal` of
+    the other rows, over the six 2x2 minors of the last two. Bareiss runs
+    with row pivoting, which keeps all intermediate values integral.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -128,6 +135,8 @@ def det(m) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:  # normal(m[1:]) . x == det(m[1:] + [x]), three row swaps from m
+        return -dot(normal(m[1:], 4), m[0])
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -171,8 +180,27 @@ def normal(rows, d) -> Vec:
     """Cofactor normal of d - 1 vectors in Z^d: n . x == det(rows + [x]).
 
     Entry j is the signed minor of rows with column j deleted, so n is zero
-    iff rows are dependent, and otherwise orthogonal to each of them.
+    iff rows are dependent, and otherwise orthogonal to each of them. The
+    closed forms: (-a1, a0) for d = 2, the cross product for d = 3, and for
+    d = 4 the 3x3 minors expanded along the first row over the six 2x2
+    minors of the last two. Other d take each minor from :func:`det`.
     """
+    if d == 2:
+        ((a0, a1),) = rows
+        return (-a1, a0)
+    if d == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    if d == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        s01, s02, s03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        s12, s13, s23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        return (
+            a2 * s13 - a1 * s23 - a3 * s12,
+            a0 * s23 - a2 * s03 + a3 * s02,
+            a1 * s03 - a0 * s13 - a3 * s01,
+            a0 * s12 - a1 * s02 + a2 * s01,
+        )
     sign = -1 if d % 2 == 0 else 1  # (-1) ** (d - 1), the sign of entry 0
     n = []
     for j in range(d):
@@ -372,8 +400,14 @@ def column_hnf(m):
 
 
 def lattice_index(m) -> int:
-    """Index in Z^d of the subgroup generated by the rows of m."""
+    """Index in Z^d of the subgroup generated by the rows of m: |det(m)|
+    when m is square, else the product of the pivots of its row HNF."""
     d = len(m[0]) if m else 0
+    if len(m) == d:
+        index = abs(det(m))
+        if not index:
+            raise NotFullRank("rows do not span Q^d")
+        return index
     h = row_hnf(m)
     pivots = []
     for row in h:

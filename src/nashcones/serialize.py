@@ -226,7 +226,9 @@ def append_cache(path, tree) -> int:
     """Append this run's new memo entries; returns the number written.
 
     All records go out in one ``os.write`` on an ``O_APPEND`` descriptor, so
-    lines from concurrent appenders to the same file never interleave.
+    lines from concurrent appenders to the same file never interleave. The
+    write starts with a newline when the file's last byte is not one, so a
+    last line that lost its tail does not swallow the first record.
     """
     if not tree.new_memo_keys:
         return 0
@@ -234,8 +236,11 @@ def append_cache(path, tree) -> int:
         json.dumps(_record_from_entry(key, tree.memo[key], tree.prune_below_index)) + "\n"
         for key in tree.new_memo_keys
     ).encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
         written = os.write(fd, data)
     finally:
         os.close(fd)

@@ -434,6 +434,44 @@ def test_cache_with_a_lost_record(tmp_path, name, damage):
     assert err == want
 
 
+def test_cache_appends_after_a_truncated_last_line(tmp_path):
+    # a run appending to a log whose last line lost its tail starts its
+    # write with a newline: the truncated line is skipped on load, the
+    # records after it load whole, and the next run is served from them
+    args = ("resolve", "--name", "C_6_3")
+    clean = tmp_path / "clean.jsonl"
+    run_cli(*args, "--cache", str(clean))
+    cache = tmp_path / "cache.jsonl"
+    truncated = clean.read_bytes()[:20]
+    cache.write_bytes(truncated)
+    code, _, _ = run_cli(*args, "--cache", str(cache))
+    assert code == 0
+    assert cache.read_bytes() == truncated + b"\n" + clean.read_bytes()
+    assert serialize.load_cache(str(cache), None) == serialize.load_cache(str(clean), None)
+    code, _, err = run_cli(*args, "--cache", str(cache))
+    assert code == 0 and err.endswith("nodes-created 1\n")
+
+
+def test_cache_conflicting_records_exit_2(tmp_path):
+    # two different records under one key fail the load with the
+    # documented message; an identical duplicate record loads
+    args = ("resolve", "--name", "C_3_3")
+    cache = tmp_path / "cache.jsonl"
+    run_cli(*args, "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    rec = json.loads(lines[0])
+    cache.write_text("\n".join(lines + [lines[0]]) + "\n")
+    code, _, err = run_cli(*args, "--cache", str(cache))
+    assert code == 0 and err.endswith("nodes-created 1\n")
+    changed = json.dumps(dict(rec, max_facets=rec["max_facets"] + 1))
+    cache.write_text("\n".join(lines + [changed]) + "\n")
+    code, out, err = run_cli(*args, "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: ValueError: cache {cache}: conflicting records for key {rec['key'][:16]}...\n"
+    )
+
+
 def test_cache_env_override(tmp_path):
     cache = str(tmp_path / "env_cache.jsonl")
     code, _, _ = run_cli(
@@ -491,6 +529,23 @@ def test_resolve_name_alias_exit_2(name):
     assert code == 2
     assert out == ""
     assert err == f"error: ValueError: malformed class name {name!r} (expected like C_3_3)\n"
+
+
+@pytest.mark.parametrize("command", ["hilbert", "resolve"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--rays", "ValueError: empty matrix"),
+        ("--facets", "ValueError: empty matrix"),
+        ("--name", "ValueError: malformed class name '' (expected like C_3_3)"),
+    ],
+)
+def test_empty_cone_option_exit_2(command, flag, message):
+    # an empty option value is that option given, not left out: one error
+    # line and no traceback
+    code, out, err = run_cli(command, flag, "")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_closed_stdout_pipe_exit_0():

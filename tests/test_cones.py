@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +11,7 @@ from nashcones.cones import (
     Polyhedron,
     _dd_cut,
     _dual_extreme_rays,
+    _opposite_rays,
     canonical_key,
     cone_from_facets,
     cone_from_rays,
@@ -199,6 +200,24 @@ def test_dd_cut_by_a_generator_that_cuts_nothing(case, data):
     bit = 1 << len(gens)
     want = [(r, t | bit if la.dot(a, r) == 0 else t) for r, t in pairs]
     assert _dd_cut(pairs, a, bit, d) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generator_sets(pointed=False))
+def test_dd_cut_returns_distinct_rays(case):
+    # each new ray lies inside one edge that crosses the cut, and two edges
+    # of the pointed dual meet only in a common ray, which is off the cut:
+    # no step of the double description returns a ray twice
+    d, gens = case
+    basis_idx = list(islice(la.independent(gens), d))
+    mask = sum(1 << i for i in basis_idx)
+    seed = _opposite_rays([gens[i] for i in basis_idx], d)
+    pairs = [(r, mask ^ (1 << i)) for r, i in zip(seed, basis_idx)]
+    for i, a in enumerate(gens):
+        if not mask >> i & 1:
+            pairs = _dd_cut(pairs, a, 1 << i, d)
+            assert len({r for r, _ in pairs}) == len(pairs)
+    assert sorted(pairs) == _dual_extreme_rays(gens, d)
 
 
 @settings(max_examples=100, deadline=None)

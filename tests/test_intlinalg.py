@@ -131,6 +131,34 @@ def test_det_matches_cofactor_oracle():
         assert la.det(m) == det_cofactor(m)
 
 
+def cofactor_normal(rows, d):
+    """Independent normal oracle: entry j is (-1) ** (d - 1 + j) times the
+    cofactor-expanded minor of rows with column j deleted."""
+    return tuple(
+        (-1) ** (d - 1 + j) * det_cofactor([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(d)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_det_and_normal_near_2_to_70(n):
+    # entries within 9 of +-2^70: every product overflows a machine word
+    # and the determinant is mostly cancellation, so each closed form and
+    # the Bareiss route must stay exact
+    rng = random.Random(n)
+    big = 2**70
+    for _ in range(40):
+        m = tuple(
+            tuple(rng.choice((-big, big)) + rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
+        )
+        assert la.det(m) == det_cofactor(m)
+        rows = list(m[:-1])
+        nv = la.normal(rows, n)
+        assert nv == cofactor_normal(rows, n)
+        assert la.dot(nv, m[-1]) == la.det(m)
+        assert all(la.dot(nv, row) == 0 for row in rows)
+
+
 # ---------------------------------------------------------------- adjugate
 
 
@@ -457,15 +485,24 @@ def test_lattice_index_examples():
 
 def test_lattice_index_not_full_rank():
     with pytest.raises(NotFullRank):
-        la.lattice_index(((1, 2), (2, 4)))
+        la.lattice_index(((1, 2), (2, 4)))  # square: |det| is 0
+    with pytest.raises(NotFullRank):
+        la.lattice_index(((1, 2), (2, 4), (3, 6)))  # not square: an HNF pivot is missing
 
 
 def test_lattice_index_equals_abs_det():
+    # a square matrix takes |det|; the oracle is the product of its row
+    # HNF's pivots, the route every other shape takes. A row appended from
+    # the lattice leaves the index alone and sends it down that route.
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 5)
         m = random_nonsingular(rng, n, bound=9)
-        assert la.lattice_index(m) == abs(la.det(m))
+        h = la.row_hnf(m)
+        assert la.lattice_index(m) == prod(h[i][i] for i in range(n)) == abs(det_cofactor(m))
+        coeffs = [rng.randint(-2, 2) for _ in m]
+        extra = tuple(sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n))
+        assert la.lattice_index(m + (extra,)) == la.lattice_index(m)
 
 
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=6))
