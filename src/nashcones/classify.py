@@ -95,21 +95,19 @@ def enumerate_hnf(d, idx):
 
     Lower triangular, positive diagonal with product idx, off-diagonal
     entries reduced below the row diagonal, every row coprime. Sorted
-    lexicographically.
+    lexicographically. For each diagonal, every row i is built once, as
+    its coprime head over [0, diag[i]), then diag[i], then zeros, and the
+    matrices are the product of the row lists.
     """
     if d < 1 or idx < 1:
         raise ValueError("dimension and index must be positive")
     results = []
     for diag in _ordered_factorizations(idx, d):
-        per_row = [
-            [head for head in product(range(di), repeat=i) if gcd(di, *head) == 1]
-            for i, di in enumerate(diag)
-        ]
-        for combo in product(*per_row):
-            rows = tuple(
-                combo[i] + (diag[i],) + (0,) * (d - 1 - i) for i in range(d)
-            )
-            results.append(rows)
+        per_row = []
+        for i, di in enumerate(diag):
+            tail = (di,) + (0,) * (d - 1 - i)
+            per_row.append([h + tail for h in product(range(di), repeat=i) if gcd(di, *h) == 1])
+        results.extend(product(*per_row))
     results.sort()
     return results
 

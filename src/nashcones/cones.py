@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import and_
 
 from . import intlinalg as la
@@ -439,9 +439,21 @@ def _finest_split(images):
     cuts: for each, the rows nonzero in it (each row is nonzero in one
     block only), restricted to its columns.
     They present the atoms of the finest lattice direct sum, one block
-    when the cone is irreducible (see :func:`direct_sum_decompose`)."""
-    h, cuts = max(((h, _cuts(h)) for h in images), key=lambda pair: len(pair[1]))
-    bounds = (0, *cuts, len(h[0]))
+    when the cone is irreducible (see :func:`direct_sum_decompose`).
+
+    Only an image whose basis row d - 1 starts at 0 is read: :func:`_cuts`
+    reads that row first and stops at a row that starts nonzero, so every
+    other image has no cut. With no cut anywhere the block is the first
+    image."""
+    images = iter(images)
+    h = next(images)
+    d, cuts = len(h[0]), []
+    for g in chain((h,), images):
+        if not g[d - 1][0]:
+            found = _cuts(g)
+            if len(found) > len(cuts):
+                h, cuts = g, found
+    bounds = (0, *cuts, d)
     return [tuple(row[i:j] for row in h if any(row[i:j])) for i, j in zip(bounds, bounds[1:])]
 
 

@@ -124,7 +124,7 @@ def det(m) -> int:
     with row pivoting, which keeps all intermediate values integral.
     """
     n = len(m)
-    if any(len(row) != n for row in m):
+    if list(map(len, m)).count(n) != n:  # any() over a generator costs more
         raise NotSquare("determinant requires a square matrix")
     if n == 0:
         return 1
@@ -355,29 +355,25 @@ def least_images(rows):
     none when rows have no basis.
 
     At the last step (row d - 1, column j, entry x) the image's first
-    column comes out as a[0] - (a[0][j] // |x|) * sign(x) * a[d - 1], or as
-    sign(x) * a[0] when d = 1, row 0 being the pivot row itself. An image's
-    least row starts with that column's minimum, so a leaf whose minimum
-    is above the first entry of the last yield's least row is strictly
-    larger and is cut before its other reductions, its transpose and its
-    sort. A tie runs the full comparison. The least image is never cut,
-    its column's minimum being its least row's first entry, and its first
-    occurrence is below every image before it, so it is always yielded: a
-    caller that knows the least sorted rows may stop at the yield that has
-    them."""
+    column comes out as a[0] - (a[0][j] // |x|) * sign(x) * a[d - 1] when
+    d > 1. An image's least row starts with that column's minimum, so a
+    leaf whose minimum is above the first entry of the last yield's least
+    row is strictly larger and is cut before its other reductions, its
+    transpose and its sort. A tie runs the full comparison, and so does
+    every leaf when d = 1, which no caller searches (a 1-D cone is
+    smooth). The least image is never cut, its column's minimum being its
+    least row's first entry, and its first occurrence is below every image
+    before it, so it is always yielded: a caller that knows the least
+    sorted rows may stop at the yield that has them."""
     best = None
     for a, order in _leaves(rows):
         j = order[-1]
         x = a[-1][j]
         if not x:
             continue
-        if best is not None:
-            if len(a) == 1:
-                low = min(a[0]) if x > 0 else -max(a[0])
-            else:
-                q = a[0][j] // x if x > 0 else -(a[0][j] // -x)
-                low = min([u - q * v for u, v in zip(a[0], a[-1])])
-            if low > best[0][0]:
+        if best is not None and len(a) > 1:
+            q = a[0][j] // x if x > 0 else -(a[0][j] // -x)
+            if min([u - q * v for u, v in zip(a[0], a[-1])]) > best[0][0]:
                 continue
         image = _image(a, order)
         key = tuple(sorted(image))

@@ -85,25 +85,35 @@ def _sum_hull(c):
     """The polyhedron C + Hull S by cutting planes, without enumerating S:
     seed with the greedy minimizers of an interior u of C^v (the sum of
     C's facet normals) and of each facet normal, then ask the oracle about
-    every inequality n . x >= b of the hull not asked about before, and
-    cut the hull by each minimizer with n . x < b, until none is violated.
-    One double description of the homogenization cone serves every round:
-    a round cuts it by its new points only.
+    every inequality n . x >= b of the hull whose normal it has not seen,
+    and cut the hull by each minimizer with n . x < b, until none is
+    violated. One double description of the homogenization cone serves
+    every round: a round cuts it by its new points only.
+
+    A normal the oracle has answered never cuts again, so none is asked
+    about twice. Its minimum m over S is its minimum over P, which holds
+    every hull, so each inequality n . x >= b of a hull has b >= m. Once
+    n is answered, the hull holds a point at m (a seed or the cut) or
+    already had b = m, and it only grows, so b = m from then on. A
+    positive multiple of n orders the elements as n does, so each seed
+    weight counts through its primitive normal: C's facets are among
+    them, each a facet of every hull at its seed's value.
     """
     elements = hilbert_basis(c).elements
     d = c.dim
     interior = tuple(map(sum, zip(*c.facets)))
-    hull = _HullDD(c, sorted({_min_weight_sum(elements, u, d) for u in (interior,) + c.facets}))
-    checked = set()
+    weights = (interior,) + c.facets
+    hull = _HullDD(c, sorted({_min_weight_sum(elements, u, d) for u in weights}))
+    seen = {la.primitive(u) for u in weights}
     while True:
         # Exact: the hull of points of S lies in P, and once every
         # inequality of it holds on all of S (the oracle's minimum is not
         # below b), S and so P = C + Hull S lie in it too.
         cuts = set()
         for n, b in hull.inequalities():
-            if (n, b) in checked:
-                continue  # held on all of S in an earlier round
-            checked.add((n, b))
+            if n in seen:
+                continue  # its minimum over S is b already
+            seen.add(n)
             x = _min_weight_sum(elements, n, d)
             if la.dot(n, x) < b:
                 cuts.add(x)

@@ -2,12 +2,20 @@
 random unimodular maps the equivalence tests draw."""
 
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, product
+from math import gcd
 
 from nashcones import intlinalg as la
 from nashcones import surface
-from nashcones.classify import _display, _factor_name
-from nashcones.cones import canonical_key, cone_from_facets, cone_from_rays, dual_index, index
+from nashcones.classify import _display, _factor_name, _ordered_factorizations
+from nashcones.cones import (
+    _cuts,
+    canonical_key,
+    cone_from_facets,
+    cone_from_rays,
+    dual_index,
+    index,
+)
 from nashcones.nash import MEMOIZED
 from nashcones.serialize import _subtree_shape
 
@@ -268,3 +276,34 @@ def factor_summary(factors):
         (f.dim, len(f.rays), len(f.facets), index(f), dual_index(f), canonical_key(f))
         for f in factors
     )
+
+
+# The split of every image, the reference for cones._finest_split, which
+# reads only the images that can have a cut.
+
+
+def finest_split_by_max(images):
+    """The blocks of the first image with the most cuts, found by running
+    :func:`cones._cuts` on every image."""
+    h, cuts = max(((h, _cuts(h)) for h in images), key=lambda pair: len(pair[1]))
+    bounds = (0, *cuts, len(h[0]))
+    return [tuple(row[i:j] for row in h if any(row[i:j])) for i, j in zip(bounds, bounds[1:])]
+
+
+# The per-combination matrix builder, the reference for
+# classify.enumerate_hnf, which builds each row once per diagonal.
+
+
+def enumerate_hnf(d, idx):
+    """The HNF presentations of index idx, sorted: for each diagonal and
+    each combination of coprime row heads, every row assembled anew."""
+    results = []
+    for diag in _ordered_factorizations(idx, d):
+        per_row = [
+            [head for head in product(range(di), repeat=i) if gcd(di, *head) == 1]
+            for i, di in enumerate(diag)
+        ]
+        for combo in product(*per_row):
+            results.append(tuple(combo[i] + (diag[i],) + (0,) * (d - 1 - i) for i in range(d)))
+    results.sort()
+    return results

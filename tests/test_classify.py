@@ -57,6 +57,12 @@ def test_enumerate_hnf_shape():
             assert g == 1
 
 
+def test_enumerate_hnf_equals_the_per_combination_builder():
+    for d, top in ((1, 12), (2, 12), (3, 12), (4, 12), (5, 6)):
+        for i in range(1, top + 1):
+            assert enumerate_hnf(d, i) == oracles.enumerate_hnf(d, i), (d, i)
+
+
 def test_classify_3_2():
     table = classify(3, 2)
     assert len(table) == 2
@@ -288,6 +294,35 @@ def test_orbit_split_matches_decomposition(rows):
     assert len(blocks) == len(factors)
     least = sorted(min(la.hnf_images(b)) for b in blocks)
     assert least == sorted(min(la.hnf_images(f.facets)) for f in factors)
+
+
+def _assert_no_cut_unless_row_starts_at_zero(images):
+    # _cuts reads basis row d - 1 first and stops at a row that starts
+    # nonzero, so only an image whose row d - 1 starts at 0 can have a cut
+    d = len(images[0][0])
+    for h in images:
+        if h[d - 1][0]:
+            assert _cuts(h) == [], h
+
+
+def test_split_reads_on_table_orbits():
+    # the HNF orbit of every class of the dims 3-5 tables (dim 5 up to
+    # index 3): the premise, and the split equal to the rule that reads
+    # every image
+    for d, top in ((3, 27), (4, 8), (5, 3)):
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                images = list(la.hnf_images(cls.presentation))
+                _assert_no_cut_unless_row_starts_at_zero(images)
+                assert _finest_split(images) == oracles.finest_split_by_max(images), cls.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_sums())
+def test_split_reads_on_block_sums(rows):
+    images = list(la.hnf_images(simplicial_cone(rows).facets))
+    _assert_no_cut_unless_row_starts_at_zero(images)
+    assert _finest_split(iter(images)) == oracles.finest_split_by_max(images)
 
 
 def test_classify_checks_dimension_before_listing_permutations(monkeypatch):

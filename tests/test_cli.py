@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nashcones import nash, serialize
@@ -546,6 +548,121 @@ def test_empty_cone_option_exit_2(command, flag, message):
     code, out, err = run_cli(command, flag, "")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------- exit codes
+# Small generated command lines for every subcommand; none enumerates much.
+# Huge values belong to the limit tests, and `verify --suite surface` (about
+# a second a run) to its own test.
+
+# The entry range by row width, kept small so that no cone's parallelepiped
+# is large: a simplex of rays has |det| <= 50, and the rays of d facets have
+# lattice index <= |det|^(d - 1) <= 625.
+_RAY_RANGES = ((-5, 5), (-5, 5), (-2, 2), (-1, 1), (-1, 1))
+_FACET_RANGES = ((-5, 5), (-5, 5), (-1, 1), (0, 1), (0, 1))
+
+
+@st.composite
+def _matrix_text(draw, ranges):
+    """0-6 rows of 1-5 integers, most rows as long as the first, joined by
+    ';' with blanks and stray ';', and now and then a token that is not an
+    integer."""
+    width = draw(st.integers(1, 5))
+    entries = st.integers(*ranges[width - 1]).map(str)
+    row = st.lists(entries, min_size=width, max_size=width)
+    ragged = st.lists(entries, min_size=1, max_size=5)
+    rows = draw(st.lists(st.one_of(row, row, row, ragged), max_size=6))
+    if rows and not draw(st.integers(0, 4)):
+        draw(st.sampled_from(rows)).append(draw(st.sampled_from(["x", "1.5", "-", "1/2", "--1"])))
+    sep = draw(st.sampled_from([";", "; ", " ; ", ";;"]))
+    ends = st.sampled_from(["", ";", " "])
+    return draw(ends) + sep.join(map(" ".join, rows)) + draw(ends)
+
+
+_NAME = st.one_of(
+    st.sampled_from(["A", "B_2_1", "B_5_2", "C_3_3", "C_4_7", "D_2_2", "D_4_15", "E_2_1"]),
+    st.builds("{}_{}_{}".format, st.sampled_from("ABCDEZ"), st.integers(0, 4), st.integers(0, 9)),
+    st.sampled_from(["C_03_1", "A_1_1", "C_3", "c_3_3", "C_3_3\n", " C_3_3"]),
+)
+
+
+def _options(draw, pairs):
+    """Each (flag, values) pair, given or left out; a value of None is a
+    flag with no argument."""
+    argv = []
+    for flag, values in pairs:
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, str(value)]
+    return argv
+
+
+@st.composite
+def _command_lines(draw, cache_paths):
+    commands = ["hilbert", "resolve", "enumerate", "hj", "verify", "bogus", ""]
+    command = draw(st.sampled_from(commands))
+    argv = [command] if command else []
+    if command in ("hilbert", "resolve"):
+        # one of the three exclusive options as a rule, now and then none or
+        # two, and now and then given empty
+        specs = {
+            "--rays": _matrix_text(_RAY_RANGES),
+            "--facets": _matrix_text(_FACET_RANGES),
+            "--name": _NAME,
+        }
+        flags = draw(st.permutations(list(specs)))
+        for flag in flags[: draw(st.sampled_from([1, 1, 1, 1, 0, 2]))]:
+            argv += [flag, draw(specs[flag]) if draw(st.integers(0, 5)) else ""]
+    if command == "resolve":  # always a node budget: a random cone may have a deep tree
+        argv += ["--max-nodes", str(draw(st.integers(0, 50)))]
+        argv += _options(draw, [
+            ("--max-depth", st.integers(-1, 3)),
+            ("--prune-index", st.integers(-2, 6)),
+            ("--format", st.sampled_from(["text", "json", "dot", "xml"])),
+            ("--no-memo", st.none()),
+            ("--cache", st.sampled_from(cache_paths)),
+            ("--jobs", st.integers(-1, 2)),
+        ])
+    elif command == "enumerate":
+        argv += _options(draw, [
+            ("--dim", st.integers(-1, 4)),
+            ("--index-max", st.integers(-1, 4)),
+            ("--table", st.none()),
+        ])
+    elif command == "hj":
+        pair = [str(draw(st.integers(-200, 200))) for _ in "pq"]
+        action = draw(st.sampled_from(["expand", "basis", "blowup", "resolve", "bogus"]))
+        argv += (pair + [action])[: draw(st.sampled_from([3, 3, 3, 2, 0]))]
+    elif command == "verify":
+        suites = st.sampled_from(["tables", "anomalies", "bogus", ""])
+        argv += _options(draw, [("--suite", suites)])
+    if not draw(st.integers(0, 4)):
+        stray = draw(st.sampled_from(["-h", "--bogus", "7"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_every_command_line_exits_with_a_documented_code(tmp_path, monkeypatch, data):
+    # 0, 2, 3 or 4, never a traceback, and an input error says so on one line
+    monkeypatch.delenv("NASH_CACHE", raising=False)
+    (tmp_path / "junk.jsonl").write_text("not a record\n[1, 2]\n")
+    caches = ["cache.jsonl", "junk.jsonl", "missing/c.jsonl", ""]
+    argv = data.draw(_command_lines([str(tmp_path / p) for p in caches]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error: " in line for line in err.splitlines()) == 1, (argv, err)
 
 
 def test_closed_stdout_pipe_exit_0():

@@ -119,8 +119,9 @@ def test_det_examples():
 
 
 def test_det_not_square():
-    with pytest.raises(NotSquare):
-        la.det(((1, 2, 3), (4, 5, 6)))
+    for m in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4, 5)), ((1, 2, 3), (4, 5), (6, 7, 8)), ((),)):
+        with pytest.raises(NotSquare):
+            la.det(m)
 
 
 def test_det_matches_cofactor_oracle():
@@ -405,6 +406,17 @@ def test_least_image_is_the_first_least_oracle_image(rows):
     keys = [tuple(sorted(h)) for h in images]
     assert all(a > b for a, b in zip(keys, keys[1:]))
     assert images[-1] == min(oracles.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=7).filter(any))
+@example([0, 3, -2, 0, 2, -3])
+@example([-1, 0, 4])
+def test_least_image_on_one_column(column):
+    # d = 1: no leaf is cut, and the last yield is the first least image
+    rows = tuple((x,) for x in column)
+    *_, last = la.least_images(rows)
+    assert last == min(la.hnf_images(rows), key=lambda h: tuple(sorted(h)))
 
 
 def test_least_image_without_a_basis_is_none():

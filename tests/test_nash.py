@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nashcones import intlinalg as la
+from nashcones import nash
 from nashcones.cones import (
     Cone,
     _HullDD,
@@ -166,6 +167,26 @@ def _bulk_subset_blowups():
 def test_blowup_matches_explicit_path_on_bulk_subset():
     for name, c in _bulk_subset_blowups():
         assert nash_blowup(c) == _explicit_blowup(c), name
+
+
+def test_no_weight_reaches_the_oracle_twice(monkeypatch):
+    # a normal the oracle has answered, a seed's included, never cuts again,
+    # so each primitive weight is asked about once; the children stay those
+    # of the explicit sum set
+    asked = []
+
+    def recording(elements, u, d):
+        asked.append(la.primitive(u))
+        return _min_weight_sum(elements, u, d)
+
+    monkeypatch.setattr(nash, "_min_weight_sum", recording)
+    for name in GOLDEN_TREES:
+        if name.startswith("D"):
+            c = cone_from_facets(presentation(name))
+            asked.clear()
+            children = nash_blowup(c)
+            assert len(asked) == len(set(asked)), name
+            assert children == _explicit_blowup(c), name
 
 
 def test_hull_cuts_on_bulk_subset():
