@@ -198,12 +198,13 @@ def tables_suite():
 
 
 def anomaly_suite():
-    """The three index-growth anomalies of iterated blow-ups."""
+    """The three index-growth anomalies of iterated blow-ups, each pinned
+    to the exact number of simplicial descendants whose index grew."""
     report = []
     c65 = cone_from_facets([(1, 0, 0), (0, 1, 0), (1, 3, 6)])
     target = cone_from_facets([(1, 3, 6), (1, 3, 3), (2, 3, 6)])
-    kids = nash_blowup(c65)
-    ok = any(k.is_simplicial and index(k) == 9 and equivalent(k, target) for k in kids)
+    winners = [k for k in nash_blowup(c65) if k.is_simplicial and index(k) == 9]
+    ok = _all_equivalent(winners, 2, target)
     _check(report, "index 6 cone blows up to a simplicial index-9 cone", ok)
 
     c922 = cone_from_facets([(1, 0, 0), (1, 3, 0), (1, 0, 3)])
@@ -213,16 +214,17 @@ def anomaly_suite():
         if not is_smooth(k):
             grand.extend(nash_blowup(k))
     winners = [g for g in grand if g.is_simplicial and dual_index(g) == 4]
-    ok = dual_index(c922) == 3 and winners and any(equivalent(g, named) for g in winners)
+    ok = (index(c922), dual_index(c922)) == (9, 3) and _all_equivalent(winners, 3, named)
     _check(report, "dual index 3 -> 4 after two blow-ups", ok)
 
     big = cone_from_facets([(1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)])
     c21 = cone_from_facets([(1, 0, 0), (0, 1, 0), (0, 1, 2)])
-    kids = nash_blowup(big)
-    ok = (
-        len(big.rays) == 4
-        and dual_index(big) == 1
-        and any(k.is_simplicial and dual_index(k) == 2 and equivalent(k, c21) for k in kids)
-    )
+    winners = [k for k in nash_blowup(big) if k.is_simplicial and dual_index(k) == 2]
+    ok = len(big.rays) == 4 and dual_index(big) == 1 and _all_equivalent(winners, 1, c21)
     _check(report, "dual index 1 -> 2 through a 4-facet cone", ok)
     return report
+
+
+def _all_equivalent(cones, n, like):
+    """Whether there are exactly n cones, each equivalent to ``like``."""
+    return len(cones) == n and all(equivalent(c, like) for c in cones)

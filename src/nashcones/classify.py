@@ -26,7 +26,14 @@ from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import Cone, _finest_split, canonical_key, index as cone_index, simplicial_cone
+from .cones import (
+    Cone,
+    _finest_split,
+    canonical_key,
+    dual_index,
+    index as cone_index,
+    simplicial_cone,
+)
 
 _LETTERS = "ABCDEFGH"
 
@@ -163,8 +170,7 @@ def classify(d, idx):
             )
             reducibility = tuple(_factor_name(f) for f in factors)
         name = f"{letter}_{idx}_{len(classes) + 1}"
-        istar = abs(la.det(cone.rays))
-        classes.append(ConeClass(name, d, idx, istar, m, reducibility, cone))
+        classes.append(ConeClass(name, d, idx, dual_index(cone), m, reducibility, cone))
     return tuple(classes)
 
 

@@ -148,7 +148,7 @@ def _cmd_verify(args):
     if args.suite == "tables":
         report = checks.tables_suite()
     elif args.suite == "surface":
-        report = checks.surface_suite(q_max=100)
+        report = checks.surface_suite()
     else:
         report = checks.anomaly_suite()
     failed = [name for name, ok in report if not ok]

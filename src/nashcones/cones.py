@@ -148,8 +148,6 @@ def _dd_cut(pairs, a, bit, d):
         if s > 0:
             pos.append((r, t, s))
         new_pairs.append((r, t if s else t | bit))
-    if not neg:
-        return new_pairs  # nothing cut off, so the rays are the distinct input rays
     for rp, tp, sp in pos:
         for rn, tn, sn in neg:
             common = tp & tn

@@ -36,8 +36,6 @@ from tabledata import (
     DIM3_CLASSES,
     DIM4_CLASSES,
     GOLDEN_TREES,
-    T3_COUNTS,
-    T4_COUNTS,
     presentation,
     tree_shape,
 )
@@ -59,12 +57,12 @@ def test_criterion_1_classification_counts():
     t3 = class_counts(3, 27)
     t4 = class_counts(4, 8)
     ok = (
-        t3 == T3_COUNTS
+        t3 == checks.T3_REFERENCE
         and t3[1] == 2
         and t3[9] == 25
         and t3[26] == 163
         and sum(t3) == 1602
-        and t4 == T4_COUNTS
+        and t4 == checks.T4_REFERENCE
         and sum(t4) == 201
     )
     report(1, ok, f"T_3 and T_4 tables, {time.time() - t0:.1f}s")
@@ -92,7 +90,7 @@ def _expected_signature(table, idx):
 
 
 def test_criterion_2_class_tables():
-    expected_counts_3 = [1, 2, 4, 7, 8, 11]
+    expected_counts_3 = checks.T3_REFERENCE[:6]
     ok = True
     for i in range(1, 7):
         classes = classify(3, i)
@@ -137,6 +135,7 @@ def test_criterion_4_pruned_shapes():
     ok = ok and sum(n.status == "smooth" for n in kids) == 2
     ok = ok and sum(n.status == "pruned-known" and equivalent(n.cone, c32) for n in kids) == 2
     ok = ok and sum(n.status == "expanded" and equivalent(n.cone, c56) for n in kids) == 1
+    ok = ok and tree_stats(tr).resolved  # pruned-known leaves do not spoil resolution
 
     c44 = cone_from_facets(presentation("C_4_4"))
     tr = resolution_tree(c44, prune_below_index=4, memoize=False)
@@ -182,12 +181,7 @@ def test_criterion_5_anomalies():
 
 def test_criterion_6_surface_sweeps():
     t0 = time.time()
-    ok = checks.check_convergent_identities(200)
-    ok = ok and checks.check_subword_denominators(100)
-    ok = ok and checks.check_hull_reduction(30)
-    ok = ok and checks.check_descent(100)
-    ok = ok and checks.check_cross_validation(20)
-    ok = ok and checks.check_full_resolution(100)
+    ok = all(passed for _, passed in checks.surface_suite(100))
     report(6, ok, f"2-D property sweeps, {time.time() - t0:.1f}s")
 
 

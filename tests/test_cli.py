@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nashcones import nash, serialize
+from nashcones import checks, nash, serialize
 from nashcones.classify import classify
 from nashcones.cli import main
 from nashcones.cones import canonical_key, cone_from_facets, dual_index, index
@@ -693,7 +693,7 @@ def test_enumerate_counts():
     code, out, _ = run_cli("enumerate", "--dim", "3", "--index-max", "12")
     assert code == 0
     counts = [int(line.split()[1]) for line in out.splitlines()]
-    assert counts == [1, 2, 4, 7, 8, 11, 14, 21, 23, 25, 28, 43]
+    assert counts == checks.T3_REFERENCE[:12]
 
 
 def test_enumerate_single_class():
@@ -774,7 +774,27 @@ def test_python_m_runs_the_cli():
 def test_verify_anomalies():
     code, out, err = run_cli("verify", "--suite", "anomalies")
     assert code == 0
-    assert out.count("PASS") == 3
+    assert out == (
+        "PASS  index 6 cone blows up to a simplicial index-9 cone\n"
+        "PASS  dual index 3 -> 4 after two blow-ups\n"
+        "PASS  dual index 1 -> 2 through a 4-facet cone\n"
+    )
+    assert err == "all 3 checks passed\n"
+
+
+def test_verify_anomalies_fails_on_doubled_blowups(monkeypatch):
+    # each anomaly pins an exact number of children, so a blow-up that
+    # lists every child twice fails all three checks
+    blowup = checks.nash_blowup
+    monkeypatch.setattr(checks, "nash_blowup", lambda c: blowup(c) * 2)
+    code, out, err = run_cli("verify", "--suite", "anomalies")
+    assert code == 4
+    assert out == (
+        "FAIL  index 6 cone blows up to a simplicial index-9 cone\n"
+        "FAIL  dual index 3 -> 4 after two blow-ups\n"
+        "FAIL  dual index 1 -> 2 through a 4-facet cone\n"
+    )
+    assert err == "3 of 3 checks failed\n"
 
 
 def test_verify_tables_stdout():

@@ -37,7 +37,7 @@ from nashcones.nash import (
 )
 
 from oracles import localize_by_tight_facets, random_unimodular
-from tabledata import DIM3_CLASSES, GOLDEN_TREES, presentation, tree_shape
+from tabledata import DIM3_CLASSES, GOLDEN_TREES, presentation
 
 
 # ---------------------------------------------------------------- sum sets
@@ -257,13 +257,6 @@ def test_tree_orthant():
     assert tr.root.status == "smooth"
 
 
-def test_golden_tree_shapes():
-    for name, expected in GOLDEN_TREES.items():
-        c = cone_from_facets(presentation(name))
-        tr = resolution_tree(c, memoize=False)
-        assert tree_shape(tr.root) == expected, name
-
-
 def test_tree_stats_examples():
     c22 = resolution_tree(cone_from_facets(presentation("C_2_2")), memoize=False)
     assert tree_stats(c22) == tree_stats(c22).__class__(1, 4, 3, True)
@@ -431,21 +424,6 @@ def test_shared_registry_keys_equal_fresh_keys(case_a, case_b, data):
     assert len(registry) == len(set(fresh))
 
 
-def test_pruning_shapes():
-    c54 = cone_from_facets(presentation("C_5_4"))
-    c56 = cone_from_facets(presentation("C_5_6"))
-    c32 = cone_from_facets(presentation("C_3_2"))
-    tr = resolution_tree(c54, prune_below_index=5, memoize=False)
-    kids = tr.root.children
-    assert sum(n.status == "smooth" for n in kids) == 2
-    pruned = [n for n in kids if n.status == "pruned-known"]
-    assert len(pruned) == 2 and all(equivalent(n.cone, c32) for n in pruned)
-    expanded = [n for n in kids if n.status == "expanded"]
-    assert len(expanded) == 1 and equivalent(expanded[0].cone, c56)
-    st = tree_stats(tr)
-    assert st.resolved  # pruned-known leaves do not spoil resolution
-
-
 def test_pruning_never_applies_to_root():
     c = cone_from_facets(presentation("C_2_2"))
     tr = resolution_tree(c, prune_below_index=2, memoize=False)
@@ -572,34 +550,3 @@ def test_memo_history_never_changes_stats():
         for k, m in seq:
             tr = resolution_tree(cones[k], memoize=True, max_depth=m, memo=memo)
             assert stats(tr) == want[(k, m)], (k, m)
-
-
-def test_anomaly_index_growth():
-    c65 = cone_from_facets(presentation("C_6_5"))
-    target = cone_from_facets([(1, 3, 6), (1, 3, 3), (2, 3, 6)])
-    kids = nash_blowup(c65)
-    winners = [k for k in kids if k.is_simplicial and index(k) == 9]
-    assert len(winners) == 2
-    assert all(equivalent(k, target) for k in winners)
-
-
-def test_anomaly_dual_index_growth_two_steps():
-    root = cone_from_facets([(1, 0, 0), (1, 3, 0), (1, 0, 3)])
-    assert (index(root), dual_index(root)) == (9, 3)
-    named = cone_from_facets([(1, 1, 0), (1, 0, 1), (4, 3, 3)])
-    grand = []
-    for k in nash_blowup(root):
-        if not is_smooth(k):
-            grand.extend(nash_blowup(k))
-    winners = [g for g in grand if g.is_simplicial and dual_index(g) == 4]
-    assert len(winners) == 3
-    assert any(equivalent(g, named) for g in winners)
-
-
-def test_anomaly_dual_index_growth_nonsimplicial():
-    big = cone_from_facets([(1, 0, 0), (0, 1, 0), (2, 4, 7), (1, 1, 2)])
-    assert len(big.rays) == 4 and dual_index(big) == 1
-    c21 = cone_from_facets(presentation("C_2_1"))
-    kids = nash_blowup(big)
-    winners = [k for k in kids if k.is_simplicial and dual_index(k) == 2 and equivalent(k, c21)]
-    assert len(winners) == 1
