@@ -8,12 +8,15 @@ representative per equivalence class.
 The HNF presentations of the class of ``m`` are exactly the column HNFs
 of the d! row permutations of ``m``: the images :func:`intlinalg.hnf_images`
 lists. :func:`classify` walks the sorted enumeration once: a matrix not
-yet marked starts a new class (and is the lex-least member of it, so a
-factor is named by its least image), and marks the rest of its orbit.
+yet marked starts a new class (and is the lex-least member of it), and
+marks its whole orbit.
 
 The same orbit gives the class's finest direct sum, by the rule
 :func:`cones.direct_sum_decompose` states: the first image with the most
 cuts (:func:`cones._finest_split`) has one diagonal block per factor.
+Each factor is the class whose presentation is the least image of its
+block's orbit, and the factors are ordered by :func:`cones._factor_order`,
+the order ``direct_sum_decompose`` sorts by.
 """
 
 from __future__ import annotations
@@ -26,14 +29,7 @@ from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import (
-    Cone,
-    _finest_split,
-    canonical_key,
-    dual_index,
-    index as cone_index,
-    simplicial_cone,
-)
+from .cones import Cone, _factor_order, _finest_split, dual_index, simplicial_cone
 
 _LETTERS = "ABCDEFGH"
 
@@ -149,38 +145,33 @@ def classify(d, idx):
         return (ConeClass("A", 1, 1, 1, ((1,),), (), cone),)
 
     classes = []
-    # HNFs in the orbit of a kept class that the walk has not reached yet;
-    # each comes up exactly once, so it is dropped when it does.
-    pending = set()
+    # The HNFs of every orbit kept so far: the walk reaches each orbit
+    # first at its least member and marks the whole orbit there.
+    seen = set()
     for m in enumerate_hnf(d, idx):
-        if m in pending:
-            pending.remove(m)
+        if m in seen:
             continue
         images = list(la.hnf_images(m))
-        pending.update(images)
-        pending.discard(m)
+        seen.update(images)
         cone = simplicial_cone(m)
         blocks = _finest_split(images)
         if len(blocks) == 1:
             reducibility = ()
         else:
-            factors = sorted(
-                (simplicial_cone(b) for b in blocks),
-                key=lambda f: (-f.dim, cone_index(f), canonical_key(f)),
-            )
-            reducibility = tuple(_factor_name(f) for f in factors)
+            factors = sorted(map(_factor_name, blocks), key=lambda k: _factor_order(k.cone))
+            reducibility = tuple(k.name for k in factors)
         name = f"{letter}_{idx}_{len(classes) + 1}"
         classes.append(ConeClass(name, d, idx, dual_index(cone), m, reducibility, cone))
     return tuple(classes)
 
 
-def _factor_name(f):
-    if f.dim == 1:
-        return "A"
-    least = min(la.hnf_images(f.facets))
-    for cls in classify(f.dim, cone_index(f)):
+def _factor_name(rows):
+    """The class of the simplicial cone with facet rows ``rows``, in any
+    presentation: the one whose presentation is their least HNF image."""
+    least = min(la.hnf_images(rows))
+    for cls in classify(len(rows), la.lattice_index(rows)):
         if cls.presentation == least:
-            return cls.name
+            return cls
     raise AssertionError("factor not found in its classification table")
 
 

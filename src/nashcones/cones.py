@@ -455,11 +455,16 @@ def _finest_split(images):
     return [tuple(row[i:j] for row in h if any(row[i:j])) for i, j in zip(bounds, bounds[1:])]
 
 
+def _factor_order(f):
+    """The order of direct-sum factors: decreasing dimension, then index,
+    then key. Equivalent cones sort together."""
+    return (-f.dim, index(f), canonical_key(f))
+
+
 def direct_sum_decompose(c):
     """Finest decomposition of c as a lattice direct sum of lower cones:
     the indecomposable factors, each in coordinates of a lattice basis of
-    its span, sorted by decreasing dimension, then index, then key; [c]
-    when c is irreducible.
+    its span, sorted by :func:`_factor_order`; [c] when c is irreducible.
 
     This is the one direct-sum rule, which ``classify`` shares. Order a
     basis b of the rays first and take the column HNF of the rays, their
@@ -494,4 +499,4 @@ def direct_sum_decompose(c):
     if len(atoms) == 1:
         return [c]
     factors = [cone_from_rays(b) for b in _finest_split([image(sum(atoms, ()), rows)])]
-    return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))
+    return sorted(factors, key=_factor_order)

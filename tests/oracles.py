@@ -261,12 +261,13 @@ def direct_sum_by_projection(c):
 
 
 def reducibility_of(factors):
-    """A class's reducibility from factors sorted by decreasing dimension,
-    then index, then key, as :func:`direct_sum_by_projection` returns
-    them: each named by its least HNF image, none when there is one."""
+    """A class's reducibility from factor cones sorted by decreasing
+    dimension, then index, then key, as :func:`direct_sum_by_projection`
+    returns them: each named by the class that :func:`classify._factor_name`
+    finds from its facets, none when there is one factor."""
     if len(factors) == 1:
         return ()
-    return tuple(_factor_name(f) for f in factors)
+    return tuple(_factor_name(f.facets).name for f in factors)
 
 
 def factor_summary(factors):

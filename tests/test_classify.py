@@ -10,6 +10,7 @@ import oracles
 from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
+    _factor_name,
     _perm_equivalent,
     class_counts,
     classify,
@@ -136,8 +137,8 @@ def test_classes_match_pairwise_permutation_oracle():
 
 
 def test_class_keys_pairwise_distinct():
-    # classify never computes canonical keys; those of its classes must
-    # still all differ
+    # classify keys only the classes that are direct-sum factors; the keys
+    # of all its classes must still differ
     for i in range(1, 13):
         keys = {canonical_key(cls.cone) for cls in classify(3, i)}
         assert len(keys) == len(classify(3, i)), i
@@ -261,6 +262,19 @@ def test_reducibility_matches_the_decomposition_oracle():
                 assert cls.reducibility == oracles.reducibility_of(factors), cls.name
                 got = oracles.factor_summary(direct_sum_decompose(cls.cone))
                 assert got == oracles.factor_summary(factors), cls.name
+
+
+def test_factor_name_finds_the_class_from_any_presentation():
+    # each class's presentation, rows shuffled and moved by a random
+    # unimodular map (a sign in dimension 1, where A has no special case)
+    rng = random.Random(29)
+    for d, top in ((1, 1), (2, 12), (3, 8), (4, 4)):
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                rows = list(cls.presentation)
+                rng.shuffle(rows)
+                u = oracles.random_unimodular(rng, d) if d > 1 else ((rng.choice((1, -1)),),)
+                assert _factor_name(la.matmul(rows, u)).name == cls.name, cls.name
 
 
 @st.composite

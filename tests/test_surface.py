@@ -329,34 +329,6 @@ def test_resolve_blows_up_each_distinct_cone_once(monkeypatch):
     assert surface.resolve_2d(s) == (steps, levels) and len(blown) == 2 * len(set(singular))
 
 
-# ---------------------------------------------------------------- property
-# sweeps (reduced ranges; the acceptance suite runs the published ones)
-
-
-def test_convergent_identities_sweep():
-    assert checks.check_convergent_identities(60)
-
-
-def test_subword_denominators_sweep():
-    assert checks.check_subword_denominators(40)
-
-
-def test_hull_reduction_sweep():
-    assert checks.check_hull_reduction(15)
-
-
-def test_descent_sweep():
-    assert checks.check_descent(40)
-
-
-def test_cross_validation_sweep():
-    assert checks.check_cross_validation(12)
-
-
-def test_full_resolution_sweep():
-    assert checks.check_full_resolution(40)
-
-
 SURFACE_CHECKS = [
     "convergent identities",
     "subword denominators",
