@@ -6,10 +6,11 @@ duplicates under row permutation + unimodular column action yields one
 representative per equivalence class.
 
 The HNF presentations of the class of ``m`` are exactly the column HNFs
-of the d! row permutations of ``m``: the images :func:`intlinalg.hnf_images`
-lists. :func:`classify` walks the sorted enumeration once: a matrix not
-yet marked starts a new class (and is the lex-least member of it), and
-marks its whole orbit.
+of the d! row permutations of ``m``, its orbit. :func:`intlinalg.hnf_orbit`
+walks it by adjacent row swaps, repairing the form with one 2x2 unimodular
+fix of two columns per swap. :func:`classify` walks the sorted enumeration
+once: a matrix not yet marked starts a new class (and is the lex-least
+member of it), and marks its whole orbit.
 
 The same orbit gives the class's finest direct sum, by the rule
 :func:`cones.direct_sum_decompose` states: the first image with the most
@@ -151,7 +152,7 @@ def classify(d, idx):
     for m in enumerate_hnf(d, idx):
         if m in seen:
             continue
-        images = list(la.hnf_images(m))
+        images = list(la.hnf_orbit(m))
         seen.update(images)
         cone = simplicial_cone(m)
         blocks = _finest_split(images)
@@ -167,8 +168,9 @@ def classify(d, idx):
 
 def _factor_name(rows):
     """The class of the simplicial cone with facet rows ``rows``, in any
-    presentation: the one whose presentation is their least HNF image."""
-    least = min(la.hnf_images(rows))
+    presentation: the one whose presentation is the least HNF of their
+    orbit."""
+    least = min(la.hnf_orbit(rows))
     for cls in classify(len(rows), la.lattice_index(rows)):
         if cls.presentation == least:
             return cls

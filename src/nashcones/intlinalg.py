@@ -12,22 +12,28 @@ matrix is its |det|. Beside them, two eliminations carry the kernel:
 the greedy fraction-free echelon of :func:`independent` (rank, and
 every greedy basis the other modules pick) and the Hermite form
 :func:`row_hnf` (column forms, the other lattice indices and Smith
-forms), whose column step :func:`hnf_images` runs as the one GL(d,Z)
-orbit search.
-:func:`least_images` runs the same search for the image with the least
+forms). Its column step is one pass down the column with one
+exact-quotient or extended-gcd 2x2 unimodular row combination per row
+(Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.4.5).
+The row Hermite form of a matrix is unique, so the combinations the
+step picks never show in a result.
+
+Two routines list GL(d,Z) orbits of column HNFs. :func:`hnf_orbit`
+walks the d! row orders of a square nonsingular matrix in plain-changes
+order, each one adjacent row swap from the one before, and repairs the
+form after each swap with one 2x2 unimodular fix of two columns. It
+lists the class orbits, which give their direct-sum splits and their
+factor names.
+:func:`least_images` runs the column step as a depth-first search over
+the ordered bases of any rows spanning Q^d, for the image with the least
 sorted rows, yielding each image below all before it: at a leaf's last
 step it takes the image's first column, one row's work, and leaves the
 leaf unfinished when that column's minimum is above the first entry of
-the last yield's least row. The column step is one pass down the
-column with one exact-quotient or extended-gcd 2x2 unimodular row
-combination per row (Cohen, A Course in Computational Algebraic Number
-Theory, Alg. 2.4.5). The row Hermite form of a matrix is unique, and so
-is each image of the orbit search, so the combinations the step picks
-never show in a result. The step's extended Euclid, :func:`xgcd`, is the
-package's only one: ``surface`` takes the Bezout pair of its 2-D
-standard form from it too. Adjugates come from cofactor normals. Direct
-sums are read off column HNFs by the rule ``cones.direct_sum_decompose``
-states.
+the last yield's least row. The extended Euclid, :func:`xgcd`, is the
+package's only one: the column step, the walk's fix and ``surface``'s
+2-D standard form take their Bezout pairs from it. Adjugates come from
+cofactor normals. Direct sums are read off column HNFs by the rule
+``cones.direct_sum_decompose`` states.
 """
 
 from __future__ import annotations
@@ -57,9 +63,9 @@ def xgcd(x, y):
     """(g, s, t) with g = s*x + t*y and |g| = gcd(x, y), by extended Euclid.
 
     The one extended Euclid of the package: the Hermite step's 2x2
-    combination and the 2-D standard form's Bezout pair. g takes the
-    sign the floor-division remainders leave, so callers that need a
-    positive gcd flip it.
+    combination, the orbit walk's 2x2 fix and the 2-D standard form's
+    Bezout pair. g takes the sign the floor-division remainders leave, so
+    callers that need a positive gcd flip it.
     """
     g, h, s0, s1, t0, t1 = x, y, 1, 0, 0, 1
     while h:
@@ -249,7 +255,7 @@ def _pivot(a, r, c):
     the pivot is the gcd of the column from row r down, the entries below
     it are zero, and the rows above are reduced into [0, pivot). The row
     Hermite form of a matrix is unique, so the combinations chosen here
-    never show in what :func:`row_hnf` or :func:`hnf_images` return."""
+    never show in what :func:`row_hnf` or :func:`least_images` return."""
     i0, x = None, 0
     for i in range(r, len(a)):
         y = a[i][c]
@@ -299,7 +305,7 @@ def row_hnf(m):
 
 
 def _leaves(rows):
-    """The depth-first search of :func:`hnf_images` on rows transposed:
+    """The depth-first search of :func:`least_images` on rows transposed:
     yield (a, order) for each leaf, order being its ordered basis (row
     indices) and a the matrix after the steps of all but its last column,
     which is left to row d - 1. Columns are tried in input order, so the
@@ -325,34 +331,85 @@ def _leaves(rows):
 
 
 def _image(a, order):
-    """Finish a leaf of :func:`_leaves`: its last step, then the image,
-    basis rows first and the other rows in input order; None when the
-    last column has no pivot."""
+    """Finish a leaf of :func:`_leaves` whose last column has a pivot
+    (a[d - 1][order[-1]] != 0): its last step, then the image, basis rows
+    first and the other rows in input order."""
     b = a[:]
-    if not _pivot(b, len(b) - 1, order[-1]):
-        return None
+    _pivot(b, len(b) - 1, order[-1])
     cols = list(zip(*b))
     return tuple([cols[j] for j in order] + [c for j, c in enumerate(cols) if j not in order])
 
 
-def hnf_images(rows):
-    """Yield rows @ u, basis rows first, for each ordered basis among rows
-    (in lexicographic order of row indices), u putting the basis in column
-    HNF: the depth-first search of :func:`_pivot` steps of :func:`_leaves`,
-    every leaf finished. :func:`least_images` runs the same search and
-    finishes only the leaves that can still be least."""
-    for a, order in _leaves(rows):
-        image = _image(a, order)
-        if image is not None:
-            yield image
+def _plain_changes(d):
+    """The adjacent swaps of plain changes (Steinhaus-Johnson-Trotter):
+    swap i exchanges the items at positions i and i + 1, and the d! - 1
+    swaps, made in turn, visit every order of d items once. The swaps of
+    d items interleave those of the first d - 1 with sweeps of the last
+    item, from position d - 1 down to 0, then back up, and so on; while
+    it stands at 0 the others sit one position higher."""
+    swaps = []
+    for n in range(2, d + 1):
+        down, up = list(range(n - 2, -1, -1)), list(range(n - 1))
+        out = list(down)
+        for k, j in enumerate(swaps):
+            out.append(j + 1 - k % 2)
+            out += up if k % 2 == 0 else down
+        swaps = out
+    return swaps
+
+
+def hnf_orbit(m):
+    """Yield the column HNF of each row order of the square nonsingular m,
+    the d! orders in plain-changes order (:func:`_plain_changes`): the
+    HNF presentations of m's class, one per order.
+
+    The walk starts from :func:`column_hnf` and repairs the form in place
+    after each swap of rows i and i + 1. The form was lower triangular,
+    so the swap leaves one entry b > 0 above the diagonal, at (i, i + 1),
+    and a = entry (i, i) with 0 <= a < b. If a = 0, swapping columns i
+    and i + 1 gives the new form outright: each entry stays reduced
+    against the diagonal of its row. Otherwise, with (g, s, t) =
+    ``xgcd(a, b)``, columns c_i, c_j (j = i + 1) become s c_i + t c_j and
+    (b/g) c_i - (a/g) c_j, a unimodular map that takes row i to (g, 0)
+    and gives row j the positive diagonal (b/g) times the old (i, i).
+    Then columns j, i, 0..i-1, in that order, are reduced against
+    columns i..d-1: only their entries in rows i and below can have been
+    left unreduced."""
+    d = len(m)
+    if any(len(row) != d for row in m):
+        raise NotSquare("the orbit walk requires a square matrix")
+    h = [list(row) for row in column_hnf(m)]
+    yield tuple(map(tuple, h))
+    for i in _plain_changes(d):
+        h[i], h[i + 1] = h[i + 1], h[i]
+        a, b = h[i][i], h[i][i + 1]
+        if not a:
+            for row in h[i:]:
+                row[i], row[i + 1] = row[i + 1], row[i]
+        else:
+            g, s, t = xgcd(a, b)
+            ag, bg = a // g, b // g
+            for row in h[i:]:
+                x, y = row[i], row[i + 1]
+                row[i], row[i + 1] = s * x + t * y, bg * x - ag * y
+            for c in (i + 1, i, *range(i)):
+                for r in range(max(c + 1, i), d):
+                    q = h[r][c] // h[r][r]
+                    if q:
+                        for row in h[r:]:
+                            row[c] -= q * row[r]
+        yield tuple(map(tuple, h))
 
 
 def least_images(rows):
-    """Yield each image of :func:`hnf_images` whose sorted rows are
-    strictly below those of every image yielded before it, finishing only
-    the leaves that can still be yielded. The last yield is ``min(
-    hnf_images(rows), key=sorted rows)``, the first least image; there is
-    none when rows have no basis.
+    """Search the ordered bases among rows, which span Q^d, for the image
+    with the least sorted rows: an image is rows @ u, basis rows first and
+    the others in input order, u putting the basis in column HNF. Yield
+    each image whose sorted rows are strictly below those of every image
+    yielded before it, the bases taken in lexicographic order of row
+    indices (:func:`_leaves`), finishing only the leaves that can still
+    be yielded. The last yield is the first image with the least sorted
+    rows; there is none when rows have no basis.
 
     At the last step (row d - 1, column j, entry x) the image's first
     column comes out as a[0] - (a[0][j] // |x|) * sign(x) * a[d - 1] when

@@ -79,14 +79,41 @@ def row_hnf(m):
 
 
 def hnf_images(rows):
-    """What :func:`intlinalg.hnf_images` yields, from its definition: for
-    each ordered basis among rows, in lexicographic order of row indices,
-    the column Hermite form of the basis rows stacked over the others."""
+    """The images the depth-first search of :func:`intlinalg._leaves` and
+    :func:`intlinalg._image` finishes, from their definition: for each
+    ordered basis among rows, in lexicographic order of row indices, the
+    column Hermite form of the basis rows stacked over the others."""
     d = len(rows[0]) if rows else 0
     for p in permutations(range(len(rows)), d):
         if la.det([rows[i] for i in p]):
             stacked = [rows[i] for i in p] + [row for i, row in enumerate(rows) if i not in p]
             yield la.transpose(row_hnf(la.transpose(stacked)))
+
+
+# Johnson's mobile-integer rule, the reference for the plain-changes
+# order of intlinalg.hnf_orbit.
+
+
+def plain_changes(d):
+    """The d! orders of range(d) in plain-changes order, by Johnson's
+    rule: every item starts facing left; each step swaps the largest
+    item that faces a smaller neighbour with that neighbour, then turns
+    around every item larger than it."""
+    order, left = list(range(d)), [True] * d
+    while True:
+        yield tuple(order)
+        mobile = [
+            p for p in range(d)
+            if 0 <= (q := p - 1 if left[order[p]] else p + 1) < d and order[q] < order[p]
+        ]
+        if not mobile:
+            return
+        p = max(mobile, key=lambda p: order[p])
+        x = order[p]
+        q = p - 1 if left[x] else p + 1
+        order[p], order[q] = order[q], order[p]
+        for y in range(x + 1, d):
+            left[y] = not left[y]
 
 
 # The two-matrix route to the 2-D standard form, the reference for

@@ -298,11 +298,11 @@ def _block_sums(draw):
 @given(_block_sums())
 def test_orbit_split_matches_decomposition(rows):
     cone = simplicial_cone(rows)
-    blocks = _finest_split(la.hnf_images(cone.facets))
+    blocks = _finest_split(la.hnf_orbit(cone.facets))
     factors = oracles.direct_sum_by_projection(cone)
     assert len(blocks) == len(factors)
-    least = sorted(min(la.hnf_images(b)) for b in blocks)
-    assert least == sorted(min(la.hnf_images(f.facets)) for f in factors)
+    least = sorted(min(la.hnf_orbit(b)) for b in blocks)
+    assert least == sorted(min(la.hnf_orbit(f.facets)) for f in factors)
 
 
 def _assert_no_cut_unless_row_starts_at_zero(images):
@@ -321,7 +321,7 @@ def test_split_reads_on_table_orbits():
     for d, top in ((3, 27), (4, 8), (5, 3)):
         for i in range(1, top + 1):
             for cls in classify(d, i):
-                images = list(la.hnf_images(cls.presentation))
+                images = list(la.hnf_orbit(cls.presentation))
                 _assert_no_cut_unless_row_starts_at_zero(images)
                 assert _finest_split(images) == oracles.finest_split_by_max(images), cls.name
 
@@ -329,7 +329,7 @@ def test_split_reads_on_table_orbits():
 @settings(max_examples=60, deadline=None)
 @given(_block_sums())
 def test_split_reads_on_block_sums(rows):
-    images = list(la.hnf_images(simplicial_cone(rows).facets))
+    images = list(la.hnf_orbit(simplicial_cone(rows).facets))
     _assert_no_cut_unless_row_starts_at_zero(images)
     assert _finest_split(iter(images)) == oracles.finest_split_by_max(images)
 
@@ -338,6 +338,6 @@ def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
     def unreachable(*args):
         raise AssertionError("d!-sized orbit search started for a dimension without a letter")
 
-    monkeypatch.setattr(la, "hnf_images", unreachable)
+    monkeypatch.setattr(la, "hnf_orbit", unreachable)
     with pytest.raises(ValueError, match="dimension 9"):
         classify.__wrapped__(9, 1)

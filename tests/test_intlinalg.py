@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nashcones import intlinalg as la
+from nashcones.classify import classify, enumerate_hnf
 from nashcones.errors import NotFullRank, NotSquare, RankDeficient, Singular, ZeroVector
 
 
@@ -310,14 +311,83 @@ def test_row_hnf_random_properties():
             assert prod(h[i][i] for i in range(n)) == abs(la.det(m))
 
 
+def leaf_images(rows):
+    """Every finished leaf of the depth-first search behind
+    :func:`intlinalg.least_images`, in order."""
+    for a, order in la._leaves(rows):
+        if a[-1][order[-1]]:
+            yield la._image(a, order)
+
+
 def test_hnf_images_of_square_matrix_are_column_hnfs_of_permutations():
     rng = random.Random(7)
     for _ in range(60):
         d = rng.randint(1, 4)
         m = random_nonsingular(rng, d, bound=9)
-        images = list(la.hnf_images(m))
+        images = list(la.hnf_orbit(m))
         assert len(images) == factorial(d)
         assert sorted(images) == sorted(la.column_hnf(p) for p in permutations(m))
+
+
+def test_plain_changes_visit_every_order_once():
+    for d in range(1, 7):
+        order, orders = list(range(d)), [tuple(range(d))]
+        for i in la._plain_changes(d):
+            assert 0 <= i < d - 1
+            order[i], order[i + 1] = order[i + 1], order[i]
+            orders.append(tuple(order))
+        assert len(orders) == len(set(orders)) == factorial(d)
+        assert orders == list(oracles.plain_changes(d))
+
+
+@st.composite
+def orbit_inputs(draw):
+    """A square nonsingular matrix of order 1..5, entries in +-9 or in
+    +-10**6, often with zero entries (then some swap of the walk meets
+    a zero diagonal entry), times a random unimodular map, so that the
+    input is rarely in HNF."""
+    d = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from((9, 10**6)))
+    zeros = draw(st.floats(0, 0.7))
+    rng = draw(st.randoms(use_true_random=False))
+    m = [[0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
+    assume(la.det(m))
+    return la.matmul(m, oracles.random_unimodular(rng, d) if d > 1 else ((1,),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_inputs())
+@example(((2, 0, 0), (0, 3, 0), (0, 0, 5)))
+@example(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+@example(((10**6, 1, 0), (-7, 0, 3), (0, 999_983, -2)))
+def test_hnf_orbit_is_the_column_hnf_of_each_plain_changes_order(m):
+    # image k is the column form of m's rows in the k-th plain-changes
+    # order, from the remainder-loop row HNF of the transpose
+    images = list(la.hnf_orbit(m))
+    expected = [
+        la.transpose(oracles.row_hnf(la.transpose([m[i] for i in order])))
+        for order in oracles.plain_changes(len(m))
+    ]
+    assert images == expected
+
+
+def test_class_orbits_partition_the_enumeration():
+    # the dims 3-5 tables (dim 5 up to index 3): each enumerated HNF lies
+    # in the orbit of exactly one class
+    for d, top in ((3, 27), (4, 8), (5, 3)):
+        for i in range(1, top + 1):
+            enumerated = enumerate_hnf(d, i)
+            orbits = [set(la.hnf_orbit(cls.presentation)) for cls in classify(d, i)]
+            assert sum(map(len, orbits)) == len(enumerated), (d, i)
+            for m in enumerated:
+                assert sum(m in orbit for orbit in orbits) == 1, m
+
+
+def test_hnf_orbit_rejects_non_square_and_singular_input():
+    with pytest.raises(NotSquare):
+        next(la.hnf_orbit(((1, 0), (0, 1), (1, 1))))
+    with pytest.raises(RankDeficient):
+        next(la.hnf_orbit(((1, 2), (2, 4))))
 
 
 def test_hnf_images_count_ordered_bases_with_repeated_and_dependent_rows():
@@ -330,7 +400,7 @@ def test_hnf_images_count_ordered_bases_with_repeated_and_dependent_rows():
             rows = m + extras[:k]
             n = len(rows)
             bases = [p for p in permutations(range(n), d) if la.det([rows[i] for i in p])]
-            images = list(la.hnf_images(rows))
+            images = list(leaf_images(rows))
             assert len(images) == len(bases)
             for p, h in zip(bases, images):  # both in lexicographic order
                 basis = tuple(rows[i] for i in p)
@@ -358,11 +428,11 @@ def hermite_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(hermite_inputs())
 def test_hermite_forms_match_the_remainder_loop_oracle(m):
-    # the row HNF is unique, and so is each image of the orbit search: the
+    # the row HNF is unique, and so is each image of the key search: the
     # extended-gcd step gives the remainder loop's forms, image for image
     # and in its order
     assert la.row_hnf(m) == oracles.row_hnf(m)
-    assert list(la.hnf_images(m)) == list(oracles.hnf_images(m))
+    assert list(leaf_images(m)) == list(oracles.hnf_images(m))
 
 
 @st.composite
@@ -416,7 +486,7 @@ def test_least_image_on_one_column(column):
     # d = 1: no leaf is cut, and the last yield is the first least image
     rows = tuple((x,) for x in column)
     *_, last = la.least_images(rows)
-    assert last == min(la.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+    assert last == min(oracles.hnf_images(rows), key=lambda h: tuple(sorted(h)))
 
 
 def test_least_image_without_a_basis_is_none():

@@ -36,7 +36,7 @@ from nashcones.nash import (
     unique_cone_count,
 )
 
-from oracles import localize_by_tight_facets, random_unimodular
+from oracles import hnf_images, localize_by_tight_facets, random_unimodular
 from tabledata import DIM3_CLASSES, GOLDEN_TREES, presentation
 
 
@@ -322,7 +322,7 @@ def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
     stops, firsts, ran_out = [], [], []
 
     def recording_search(rows):
-        firsts.append(min(la.hnf_images(rows), key=lambda h: tuple(sorted(h))))
+        firsts.append(min(hnf_images(rows), key=lambda h: tuple(sorted(h))))
         stops.append(None)
         for image in least_images(rows):
             stops[-1] = image
@@ -330,7 +330,7 @@ def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
         ran_out.append(rows)
 
     def unbounded_search(rows):
-        yield min(la.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+        yield min(hnf_images(rows), key=lambda h: tuple(sorted(h)))
 
     monkeypatch.setattr(la, "least_images", recording_search)
     cut = trees()
