@@ -100,17 +100,17 @@ def plain_changes(d):
     item that faces a smaller neighbour with that neighbour, then turns
     around every item larger than it."""
     order, left = list(range(d)), [True] * d
+
+    def faced(p):  # the position the item at p faces
+        return p - 1 if left[order[p]] else p + 1
+
     while True:
         yield tuple(order)
-        mobile = [
-            p for p in range(d)
-            if 0 <= (q := p - 1 if left[order[p]] else p + 1) < d and order[q] < order[p]
-        ]
+        mobile = [p for p in range(d) if 0 <= faced(p) < d and order[faced(p)] < order[p]]
         if not mobile:
             return
         p = max(mobile, key=lambda p: order[p])
-        x = order[p]
-        q = p - 1 if left[x] else p + 1
+        q, x = faced(p), order[p]
         order[p], order[q] = order[q], order[p]
         for y in range(x + 1, d):
             left[y] = not left[y]
