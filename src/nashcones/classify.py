@@ -10,7 +10,13 @@ of the d! row permutations of ``m``, its orbit. :func:`intlinalg.hnf_orbit`
 walks it by adjacent row swaps, repairing the form with one 2x2 unimodular
 fix of two columns per swap. :func:`classify` walks the sorted enumeration
 once: a matrix not yet marked starts a new class (and is the lex-least
-member of it), and marks its whole orbit.
+member of it), and marks its whole orbit, walked from the matrix itself,
+which already is a column HNF.
+
+A class's dual index comes from its presentation alone
+(:func:`_dual_index`), and its cone is built only when read
+(:attr:`ConeClass.cone`), so a table builds no cone but those of its
+factor classes, which the factor order reads.
 
 The same orbit gives the class's finest direct sum, by the rule
 :func:`cones.direct_sum_decompose` states: the first image with the most
@@ -24,13 +30,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import Cone, _factor_order, _finest_split, dual_index, simplicial_cone
+from .cones import _factor_order, _finest_split, simplicial_cone
 
 _LETTERS = "ABCDEFGH"
 
@@ -51,7 +57,12 @@ class ConeClass:
     dual_index: int
     presentation: tuple
     reducibility: tuple  # factor class names, finest first; () if irreducible
-    cone: Cone = field(compare=False)
+
+    @cached_property
+    def cone(self):
+        """The representative cone {x : presentation x >= 0}, built on
+        first read; every later read returns the same object."""
+        return simplicial_cone(self.presentation)
 
     @property
     def display(self):
@@ -142,8 +153,7 @@ def classify(d, idx):
     if d == 1:
         if idx != 1:
             return ()
-        cone = Cone(1, ((1,),), ((1,),))
-        return (ConeClass("A", 1, 1, 1, ((1,),), (), cone),)
+        return (ConeClass("A", 1, 1, 1, ((1,),), ()),)
 
     classes = []
     # The HNFs of every orbit kept so far: the walk reaches each orbit
@@ -152,9 +162,8 @@ def classify(d, idx):
     for m in enumerate_hnf(d, idx):
         if m in seen:
             continue
-        images = list(la.hnf_orbit(m))
+        images = list(la._hnf_walk(m))
         seen.update(images)
-        cone = simplicial_cone(m)
         blocks = _finest_split(images)
         if len(blocks) == 1:
             reducibility = ()
@@ -162,8 +171,23 @@ def classify(d, idx):
             factors = sorted(map(_factor_name, blocks), key=lambda k: _factor_order(k.cone))
             reducibility = tuple(k.name for k in factors)
         name = f"{letter}_{idx}_{len(classes) + 1}"
-        classes.append(ConeClass(name, d, idx, dual_index(cone), m, reducibility, cone))
+        classes.append(ConeClass(name, d, idx, _dual_index(m, idx), m, reducibility))
     return tuple(classes)
+
+
+def _dual_index(rows, idx):
+    """The dual index I* of the simplicial cone {x : rows x >= 0}, where
+    rows is square with |det| = idx, read off rows without the cone.
+
+    The cone's rays are the primitive cofactor normals n_j of the rows
+    other than j, n_j / g_j with g_j = gcd(n_j), and the n_j are the
+    columns of adj(rows) up to sign, with |det adj(rows)| = idx^(d-1).
+    So I* = idx^(d-1) / (g_0 ... g_{d-1})."""
+    d = len(rows)
+    g = 1
+    for j in range(d):
+        g *= la.vec_gcd(la.normal(rows[:j] + rows[j + 1 :], d))
+    return idx ** (d - 1) // g
 
 
 def _factor_name(rows):

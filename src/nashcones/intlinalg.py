@@ -22,8 +22,10 @@ Two routines list GL(d,Z) orbits of column HNFs. :func:`hnf_orbit`
 walks the d! row orders of a square nonsingular matrix in plain-changes
 order, each one adjacent row swap from the one before, and repairs the
 form after each swap with one 2x2 unimodular fix of two columns. It
-lists the class orbits, which give their direct-sum splits and their
-factor names.
+starts from the matrix's column HNF; its private half, ``_hnf_walk``,
+starts from a matrix that already is one, as ``classify``'s enumerated
+matrices are. It lists the class orbits, which give their direct-sum
+splits and their factor names.
 :func:`least_images` runs the column step as a depth-first search over
 the ordered bases of any rows spanning Q^d, for the image with the least
 sorted rows, yielding each image below all before it: at a leaf's last
@@ -359,14 +361,25 @@ def _plain_changes(d):
 
 
 def hnf_orbit(m):
-    """Yield the column HNF of each row order of the square nonsingular m,
-    the d! orders in plain-changes order (:func:`_plain_changes`): the
-    HNF presentations of m's class, one per order.
+    """Iterate over the column HNF of each row order of the square
+    nonsingular m, the d! orders in plain-changes order
+    (:func:`_plain_changes`): the HNF presentations of m's class, one per
+    order. The walk (:func:`_hnf_walk`) starts from :func:`column_hnf`
+    of m; a caller whose matrix already is a column HNF walks from it."""
+    d = len(m)
+    if any(len(row) != d for row in m):
+        raise NotSquare("the orbit walk requires a square matrix")
+    return _hnf_walk(column_hnf(m))
 
-    The walk starts from :func:`column_hnf` and repairs the form in place
-    after each swap of rows i and i + 1. The form was lower triangular,
-    so the swap leaves one entry b > 0 above the diagonal, at (i, i + 1),
-    and a = entry (i, i) with 0 <= a < b. If a = 0, swapping columns i
+
+def _hnf_walk(h):
+    """Yield the orbit of :func:`hnf_orbit` from h, a square matrix in
+    column HNF, which is the first image.
+
+    The walk repairs the form in place after each swap of rows i and
+    i + 1. The form was lower triangular, so the swap leaves one entry
+    b > 0 above the diagonal, at (i, i + 1), and a = entry (i, i) with
+    0 <= a < b. If a = 0, swapping columns i
     and i + 1 gives the new form outright: each entry stays reduced
     against the diagonal of its row. Otherwise, with (g, s, t) =
     ``xgcd(a, b)``, columns c_i, c_j (j = i + 1) become s c_i + t c_j and
@@ -375,10 +388,8 @@ def hnf_orbit(m):
     Then columns j, i, 0..i-1, in that order, are reduced against
     columns i..d-1: only their entries in rows i and below can have been
     left unreduced."""
-    d = len(m)
-    if any(len(row) != d for row in m):
-        raise NotSquare("the orbit walk requires a square matrix")
-    h = [list(row) for row in column_hnf(m)]
+    d = len(h)
+    h = [list(row) for row in h]
     yield tuple(map(tuple, h))
     for i in _plain_changes(d):
         h[i], h[i + 1] = h[i + 1], h[i]

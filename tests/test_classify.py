@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import gcd
@@ -10,6 +11,7 @@ import oracles
 from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
+    _dual_index,
     _factor_name,
     _perm_equivalent,
     class_counts,
@@ -338,6 +340,67 @@ def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
     def unreachable(*args):
         raise AssertionError("d!-sized orbit search started for a dimension without a letter")
 
+    # classify walks its enumerated HNFs with the private entry; patch
+    # both, so that the test fails whichever walk runs before the check
     monkeypatch.setattr(la, "hnf_orbit", unreachable)
+    monkeypatch.setattr(la, "_hnf_walk", unreachable)
     with pytest.raises(ValueError, match="dimension 9"):
         classify.__wrapped__(9, 1)
+
+
+# sha256 over the (name, presentation, reducibility, reducibility_label,
+# dual_index) reprs, one line per class, of every class of the dims 3-5
+# tables (dim 5 up to index 6), computed before class cones were built on
+# demand and I* read off the presentation
+CLASS_TABLES_SHA256 = "43c84538340aa5bae2ecc551fbc4fa0e492f3649c7a4d7fe522fa790f37504c1"
+
+
+def test_class_tables_digest():
+    h = hashlib.sha256()
+    for d, top in TABLE_RANGES:
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                row = (cls.name, cls.presentation, cls.reducibility, cls.reducibility_label, cls.dual_index)
+                h.update(repr(row).encode() + b"\n")
+    assert h.hexdigest() == CLASS_TABLES_SHA256
+
+
+def test_classify_builds_no_class_cone():
+    classify.cache_clear()
+    table = classify(3, 7)
+    assert not [cls.name for cls in table if "cone" in vars(cls)]
+    # a 2-D class holds its cone exactly when the factor order read it
+    factors = {name for cls in table for name in cls.reducibility}
+    for i in range(1, 8):
+        for k in classify(2, i):
+            assert ("cone" in vars(k)) == (k.name in factors), k.name
+    for cls in table:
+        assert cone_by_name(cls.name) is cls.cone, cls.name
+        assert "cone" in vars(cls)
+        assert cls.cone == simplicial_cone(cls.presentation)
+
+
+def test_dual_index_from_the_presentation_on_the_tables():
+    for d, top in ((2, 27), *TABLE_RANGES):
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                expected = dual_index(simplicial_cone(cls.presentation))
+                assert _dual_index(cls.presentation, i) == expected, cls.name
+
+
+@st.composite
+def _nonsingular(draw):
+    """A nonsingular matrix of order 2-5 with entries in +-6, often with a
+    common factor in a row: rarely in HNF, rows often not primitive."""
+    d = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=d, max_size=d))
+    scales = draw(st.lists(st.sampled_from((1, 1, 2, 3, -4)), min_size=d, max_size=d))
+    m = tuple(la.scale(row, k) for row, k in zip(rows, scales))
+    assume(la.det(m))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonsingular())
+def test_dual_index_from_any_nonsingular_rows(m):
+    assert _dual_index(m, abs(la.det(m))) == dual_index(simplicial_cone(m))

@@ -371,6 +371,30 @@ def test_hnf_orbit_is_the_column_hnf_of_each_plain_changes_order(m):
     assert images == expected
 
 
+def test_hnf_orbit_starts_from_the_column_hnf_of_input_not_in_hnf():
+    # classify walks its enumerated HNFs directly (_hnf_walk); hnf_orbit
+    # takes any presentation and must put it in column HNF first: table
+    # presentations moved by a unimodular map, and factor blocks of small
+    # random rows, as _factor_name meets them
+    rng = random.Random(31)
+    inputs = []
+    for d, top in ((2, 6), (3, 5), (4, 3)):
+        for i in range(1, top + 1):
+            for cls in classify(d, i):
+                inputs.append(la.matmul(cls.presentation, oracles.random_unimodular(rng, d)))
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        inputs.append(random_nonsingular(rng, d, bound=3))
+    moved = 0
+    for m in inputs:
+        h = la.column_hnf(m)
+        moved += m != h
+        images = list(la.hnf_orbit(m))
+        assert images[0] == h, m
+        assert images == list(la._hnf_walk(h)), m
+    assert moved > len(inputs) // 2
+
+
 def test_class_orbits_partition_the_enumeration():
     # the dims 3-5 tables (dim 5 up to index 3): each enumerated HNF lies
     # in the orbit of exactly one class
