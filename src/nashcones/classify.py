@@ -168,7 +168,7 @@ def classify(d, idx):
         if len(blocks) == 1:
             reducibility = ()
         else:
-            factors = sorted(map(_factor_name, blocks), key=lambda k: _factor_order(k.cone))
+            factors = sorted(map(_block_class, blocks), key=lambda k: _factor_order(k.cone))
             reducibility = tuple(k.name for k in factors)
         name = f"{letter}_{idx}_{len(classes) + 1}"
         classes.append(ConeClass(name, d, idx, _dual_index(m, idx), m, reducibility))
@@ -192,10 +192,21 @@ def _dual_index(rows, idx):
 
 def _factor_name(rows):
     """The class of the simplicial cone with facet rows ``rows``, in any
-    presentation: the one whose presentation is the least HNF of their
+    presentation."""
+    return _class_of(min(la.hnf_orbit(rows)))
+
+
+def _block_class(h):
+    """:func:`_factor_name` of a block of :func:`cones._finest_split`,
+    which already is a column HNF (a diagonal block of one), so its walk
+    starts from it."""
+    return _class_of(min(la._hnf_walk(h)))
+
+
+def _class_of(least):
+    """The class whose presentation is ``least``, the least HNF of an
     orbit."""
-    least = min(la.hnf_orbit(rows))
-    for cls in classify(len(rows), la.lattice_index(rows)):
+    for cls in classify(len(least), la.lattice_index(least)):
         if cls.presentation == least:
             return cls
     raise AssertionError("factor not found in its classification table")

@@ -13,11 +13,11 @@ tight on it share no other generator (the face rule of Fukuda-Prodon
 the same incidence gives each vertex's tangent cone: the facets through
 the vertex and the edges from it. Every operation is exact and pure.
 
-Canonical keys come from the GL(d,Z) orbit search of
-:func:`intlinalg.least_images`. A caller that keys many cones, such as a
-resolution tree, can hand :func:`canonical_key` a registry of the class
-minima keyed so far; a cone of a registered class stops the search at
-the first image that sorts to its class's minimum, and takes its key
+Canonical keys come from :func:`intlinalg.least_images`, the GL(d,Z)
+orbit walk of each basis subset. A caller that keys many cones, such as
+a resolution tree, can hand :func:`canonical_key` a registry of the
+class minima keyed so far; a cone of a registered class stops the search
+at the first image that sorts to its class's minimum, and takes its key
 unchanged. Lattice direct sums are read off column HNFs, by the rule
 :func:`direct_sum_decompose` states.
 """
@@ -379,8 +379,8 @@ def canonical_key(c, registry=None) -> bytes:
     is the lexicographic minimum, over ordered bases drawn from the smaller
     of the two generator sets, of the row-sorted generator matrix brought
     into column HNF on that basis: the last yield of the GL(d,Z) orbit
-    search :func:`intlinalg.least_images`, which finishes only the leaves
-    whose first column can still give the least row.
+    walk :func:`intlinalg.least_images`, which sorts only the images whose
+    least row can still be the least image's.
 
     ``registry``, a set owned by the caller, holds the (bucket, minimum)
     pairs of the non-smooth classes keyed so far. The search stops at the

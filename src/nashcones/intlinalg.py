@@ -18,28 +18,29 @@ exact-quotient or extended-gcd 2x2 unimodular row combination per row
 The row Hermite form of a matrix is unique, so the combinations the
 step picks never show in a result.
 
-Two routines list GL(d,Z) orbits of column HNFs. :func:`hnf_orbit`
-walks the d! row orders of a square nonsingular matrix in plain-changes
-order, each one adjacent row swap from the one before, and repairs the
-form after each swap with one 2x2 unimodular fix of two columns. It
-starts from the matrix's column HNF; its private half, ``_hnf_walk``,
-starts from a matrix that already is one, as ``classify``'s enumerated
-matrices are. It lists the class orbits, which give their direct-sum
-splits and their factor names.
-:func:`least_images` runs the column step as a depth-first search over
-the ordered bases of any rows spanning Q^d, for the image with the least
-sorted rows, yielding each image below all before it: at a leaf's last
-step it takes the image's first column, one row's work, and leaves the
-leaf unfinished when that column's minimum is above the first entry of
-the last yield's least row. The extended Euclid, :func:`xgcd`, is the
-package's only one: the column step, the walk's fix and ``surface``'s
-2-D standard form take their Bezout pairs from it. Adjugates come from
-cofactor normals. Direct sums are read off column HNFs by the rule
-``cones.direct_sum_decompose`` states.
+One walk lists GL(d,Z) orbits of column HNFs: the d! row orders of a
+square nonsingular matrix in plain-changes order (Steinhaus-Johnson-
+Trotter, Johnson 1963), each one adjacent row swap from the one before,
+the form repaired after each swap with one 2x2 unimodular fix of two
+columns (:func:`_orbit_repairs`). :func:`hnf_orbit` walks from a matrix's
+column HNF; its private half, ``_hnf_walk``, from a matrix that already
+is one, as ``classify``'s enumerated matrices are. It lists the class
+orbits, which give their direct-sum splits and their factor names.
+:func:`least_images`, the canonical-key search over any rows spanning
+Q^d, walks each nonsingular d-subset of the rows the same way, the other
+rows riding along in every column operation, and yields each image
+whose sorted rows are below all before it, cutting an image unsorted
+when its least row is above the last yield's least row. The extended
+Euclid, :func:`xgcd`, is the package's only one: the column step, the
+walk's fix and ``surface``'s 2-D standard form take their Bezout pairs
+from it. Adjugates come from cofactor normals. Direct sums are read off
+column HNFs by the rule ``cones.direct_sum_decompose`` states.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from operator import mul
 
@@ -306,49 +307,14 @@ def row_hnf(m):
     return mat(a)
 
 
-def _leaves(rows):
-    """The depth-first search of :func:`least_images` on rows transposed:
-    yield (a, order) for each leaf, order being its ordered basis (row
-    indices) and a the matrix after the steps of all but its last column,
-    which is left to row d - 1. Columns are tried in input order, so the
-    bases come in lexicographic order; a column with no pivot left cuts
-    its subtree. :func:`_pivot` never changes a row list in place, so a
-    branch pivots a shallow copy, column j where it stands, and shared
-    prefixes are eliminated once."""
-    d = len(rows[0]) if rows else 0
-
-    def search(a, order):
-        k = len(order)
-        for j in range(len(rows)):
-            if j in order:
-                continue
-            if k == d - 1:
-                yield a, order + (j,)
-                continue
-            b = a[:]
-            if _pivot(b, k, j):
-                yield from search(b, order + (j,))
-
-    return search([list(col) for col in zip(*rows)], ())
-
-
-def _image(a, order):
-    """Finish a leaf of :func:`_leaves` whose last column has a pivot
-    (a[d - 1][order[-1]] != 0): its last step, then the image, basis rows
-    first and the other rows in input order."""
-    b = a[:]
-    _pivot(b, len(b) - 1, order[-1])
-    cols = list(zip(*b))
-    return tuple([cols[j] for j in order] + [c for j, c in enumerate(cols) if j not in order])
-
-
+@lru_cache(maxsize=None)
 def _plain_changes(d):
     """The adjacent swaps of plain changes (Steinhaus-Johnson-Trotter):
     swap i exchanges the items at positions i and i + 1, and the d! - 1
     swaps, made in turn, visit every order of d items once. The swaps of
     d items interleave those of the first d - 1 with sweeps of the last
     item, from position d - 1 down to 0, then back up, and so on; while
-    it stands at 0 the others sit one position higher."""
+    it stands at 0 the others sit one position higher. Built once per d."""
     swaps = []
     for n in range(2, d + 1):
         down, up = list(range(n - 2, -1, -1)), list(range(n - 1))
@@ -357,7 +323,7 @@ def _plain_changes(d):
             out.append(j + 1 - k % 2)
             out += up if k % 2 == 0 else down
         swaps = out
-    return swaps
+    return tuple(swaps)
 
 
 def hnf_orbit(m):
@@ -374,23 +340,31 @@ def hnf_orbit(m):
 
 def _hnf_walk(h):
     """Yield the orbit of :func:`hnf_orbit` from h, a square matrix in
-    column HNF, which is the first image.
+    column HNF, which is the first image (:func:`_orbit_repairs`)."""
+    for a in _orbit_repairs([list(row) for row in h], len(h)):
+        yield tuple(map(tuple, a))
+
+
+def _orbit_repairs(h, d):
+    """Walk the d! orders of the first d rows of h, row lists in column
+    HNF on those rows, in plain-changes order, yielding h itself, live,
+    before the first swap and after each repair. The rows past d ride
+    along: every column operation acts on them too, so each yield is the
+    column HNF of the first d rows, in their current order, stacked over
+    the other rows in theirs.
 
     The walk repairs the form in place after each swap of rows i and
     i + 1. The form was lower triangular, so the swap leaves one entry
     b > 0 above the diagonal, at (i, i + 1), and a = entry (i, i) with
-    0 <= a < b. If a = 0, swapping columns i
-    and i + 1 gives the new form outright: each entry stays reduced
-    against the diagonal of its row. Otherwise, with (g, s, t) =
-    ``xgcd(a, b)``, columns c_i, c_j (j = i + 1) become s c_i + t c_j and
-    (b/g) c_i - (a/g) c_j, a unimodular map that takes row i to (g, 0)
-    and gives row j the positive diagonal (b/g) times the old (i, i).
-    Then columns j, i, 0..i-1, in that order, are reduced against
-    columns i..d-1: only their entries in rows i and below can have been
-    left unreduced."""
-    d = len(h)
-    h = [list(row) for row in h]
-    yield tuple(map(tuple, h))
+    0 <= a < b. If a = 0, swapping columns i and i + 1 gives the new form
+    outright: each entry stays reduced against the diagonal of its row.
+    Otherwise, with (g, s, t) = ``xgcd(a, b)``, columns c_i, c_j
+    (j = i + 1) become s c_i + t c_j and (b/g) c_i - (a/g) c_j, a
+    unimodular map that takes row i to (g, 0) and gives row j the
+    positive diagonal (b/g) times the old (i, i). Then columns j, i,
+    0..i-1, in that order, are reduced against columns i..d-1: only their
+    entries in rows i and below can have been left unreduced."""
+    yield h
     for i in _plain_changes(d):
         h[i], h[i + 1] = h[i + 1], h[i]
         a, b = h[i][i], h[i][i + 1]
@@ -409,7 +383,31 @@ def _hnf_walk(h):
                     if q:
                         for row in h[r:]:
                             row[c] -= q * row[r]
-        yield tuple(map(tuple, h))
+        yield h
+
+
+def _basis_starts(rows):
+    """Yield, for each nonsingular d-subset s of the rows in
+    :func:`combinations` order, the column HNF of the subset stacked over
+    the other rows in input order, as row lists: its walk's start. The
+    search runs depth first on rows transposed, pivoting subset row k into
+    column k (:func:`_pivot`, which never changes a row list in place, on
+    a shallow copy), so a common prefix is eliminated once, and a prefix
+    of dependent rows cuts its subtree."""
+    d, n = len(rows[0]), len(rows)
+
+    def search(a, s):
+        k = len(s)
+        if k == d:
+            cols = list(zip(*a))
+            yield [list(cols[j]) for j in s] + [list(c) for j, c in enumerate(cols) if j not in s]
+            return
+        for j in range(s[-1] + 1 if s else 0, n - d + k + 1):
+            b = a[:]
+            if _pivot(b, k, j):
+                yield from search(b, (*s, j))
+
+    return search([list(col) for col in zip(*rows)], ())
 
 
 def least_images(rows):
@@ -417,37 +415,26 @@ def least_images(rows):
     with the least sorted rows: an image is rows @ u, basis rows first and
     the others in input order, u putting the basis in column HNF. Yield
     each image whose sorted rows are strictly below those of every image
-    yielded before it, the bases taken in lexicographic order of row
-    indices (:func:`_leaves`), finishing only the leaves that can still
-    be yielded. The last yield is the first image with the least sorted
-    rows; there is none when rows have no basis.
+    yielded before it; the last yield has the least sorted rows, and there
+    is none when rows have no basis.
 
-    At the last step (row d - 1, column j, entry x) the image's first
-    column comes out as a[0] - (a[0][j] // |x|) * sign(x) * a[d - 1] when
-    d > 1. An image's least row starts with that column's minimum, so a
-    leaf whose minimum is above the first entry of the last yield's least
-    row is strictly larger and is cut before its other reductions, its
-    transpose and its sort. A tie runs the full comparison, and so does
-    every leaf when d = 1, which no caller searches (a 1-D cone is
-    smooth). The least image is never cut, its column's minimum being its
-    least row's first entry, and its first occurrence is below every image
-    before it, so it is always yielded: a caller that knows the least
-    sorted rows may stop at the yield that has them."""
-    best = None
-    for a, order in _leaves(rows):
-        j = order[-1]
-        x = a[-1][j]
-        if not x:
-            continue
-        if best is not None and len(a) > 1:
-            q = a[0][j] // x if x > 0 else -(a[0][j] // -x)
-            if min([u - q * v for u, v in zip(a[0], a[-1])]) > best[0][0]:
+    Each nonsingular d-subset of the rows (:func:`_basis_starts`) walks
+    its d! orders (:func:`_orbit_repairs`), the other rows riding along.
+    An image whose least row is above the least row of the last yield is
+    strictly larger, and is cut before its sort. The least image is never
+    cut and is below every image before it, so it is always yielded: a
+    caller that knows the least sorted rows may stop at the yield that
+    has them."""
+    d = len(rows[0])
+    least = best = None
+    for h in _basis_starts(rows):
+        for a in _orbit_repairs(h, d):
+            if least is not None and min(a) > least:
                 continue
-        image = _image(a, order)
-        key = tuple(sorted(image))
-        if best is None or key < best:
-            best = key
-            yield image
+            key = tuple(sorted(map(tuple, a)))
+            if best is None or key < best:
+                best, least = key, list(key[0])
+                yield tuple(map(tuple, a))
 
 
 def column_hnf(m):

@@ -79,10 +79,11 @@ def row_hnf(m):
 
 
 def hnf_images(rows):
-    """The images the depth-first search of :func:`intlinalg._leaves` and
-    :func:`intlinalg._image` finishes, from their definition: for each
-    ordered basis among rows, in lexicographic order of row indices, the
-    column Hermite form of the basis rows stacked over the others."""
+    """The images the key search of :func:`intlinalg.least_images` walks,
+    from their definition: for each ordered basis among rows, in
+    lexicographic order of row indices, the column Hermite form of the
+    basis rows stacked over the others in input order. The walk meets
+    them in another order, subset by subset."""
     d = len(rows[0]) if rows else 0
     for p in permutations(range(len(rows)), d):
         if la.det([rows[i] for i in p]):

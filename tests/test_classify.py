@@ -348,6 +348,22 @@ def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
         classify.__wrapped__(9, 1)
 
 
+def test_classify_starts_no_walk_from_column_hnf(monkeypatch):
+    # classify's matrices and factor blocks are column HNFs already, so
+    # every class walk and factor lookup starts from them
+    def unreachable(*args):
+        raise AssertionError("column_hnf called from a classify pass")
+
+    classify.cache_clear()
+    monkeypatch.setattr(la, "column_hnf", unreachable)
+    try:
+        table = classify(4, 8)
+    finally:
+        classify.cache_clear()
+    assert len(table) == 83
+    assert sum(1 for cls in table if cls.reducibility) > 0
+
+
 # sha256 over the (name, presentation, reducibility, reducibility_label,
 # dual_index) reprs, one line per class, of every class of the dims 3-5
 # tables (dim 5 up to index 6), computed before class cones were built on

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, gcd, prod
 
 import pytest
@@ -311,12 +311,13 @@ def test_row_hnf_random_properties():
             assert prod(h[i][i] for i in range(n)) == abs(la.det(m))
 
 
-def leaf_images(rows):
-    """Every finished leaf of the depth-first search behind
-    :func:`intlinalg.least_images`, in order."""
-    for a, order in la._leaves(rows):
-        if a[-1][order[-1]]:
-            yield la._image(a, order)
+def walk_images(rows):
+    """Every image the key search behind :func:`intlinalg.least_images`
+    walks, in order: each nonsingular subset's walk with the other rows
+    riding along."""
+    for h in la._basis_starts(rows):
+        for a in la._orbit_repairs(h, len(rows[0])):
+            yield tuple(map(tuple, a))
 
 
 def test_hnf_images_of_square_matrix_are_column_hnfs_of_permutations():
@@ -423,10 +424,19 @@ def test_hnf_images_count_ordered_bases_with_repeated_and_dependent_rows():
         for k in range(1, len(extras) + 1):
             rows = m + extras[:k]
             n = len(rows)
-            bases = [p for p in permutations(range(n), d) if la.det([rows[i] for i in p])]
-            images = list(leaf_images(rows))
+            # each nonsingular subset in combinations order, its orders
+            # in plain-changes order
+            bases = [
+                tuple(s[i] for i in order)
+                for s in combinations(range(n), d)
+                if la.det([rows[i] for i in s])
+                for order in oracles.plain_changes(d)
+            ]
+            ordered = [p for p in permutations(range(n), d) if la.det([rows[i] for i in p])]
+            assert sorted(bases) == ordered
+            images = list(walk_images(rows))
             assert len(images) == len(bases)
-            for p, h in zip(bases, images):  # both in lexicographic order
+            for p, h in zip(bases, images):
                 basis = tuple(rows[i] for i in p)
                 rest = tuple(rows[i] for i in range(n) if i not in p)
                 assert h[:d] == la.column_hnf(basis)
@@ -453,20 +463,21 @@ def hermite_inputs(draw):
 @given(hermite_inputs())
 def test_hermite_forms_match_the_remainder_loop_oracle(m):
     # the row HNF is unique, and so is each image of the key search: the
-    # extended-gcd step gives the remainder loop's forms, image for image
-    # and in its order
+    # extended-gcd step and the walk's repairs give the remainder loop's
+    # forms, one image per ordered basis
     assert la.row_hnf(m) == oracles.row_hnf(m)
-    assert list(leaf_images(m)) == list(oracles.hnf_images(m))
+    assert sorted(walk_images(m)) == sorted(oracles.hnf_images(m))
 
 
 @st.composite
 def least_image_inputs(draw):
-    """d in 1..4 and rows spanning Q^d with entries in +-4, negative ones
+    """d in 1..5 and rows spanning Q^d with entries in +-4, negative ones
     included. Half the time the rows are closed under a coordinate swap
     or a coordinate's sign flip, a symmetry under which images tie on the
-    first column's minimum; then up to two repeated, summed or negated
-    rows join, at most d + 3 rows in all."""
-    d = draw(st.integers(1, 4))
+    least row; then up to two repeated, summed or negated rows and
+    sometimes a zero row join, at most d + 3 rows in all (d + 2 for
+    d = 5)."""
+    d = draw(st.integers(1, 5))
     entry = st.integers(-4, 4)
     rows = [tuple(draw(entry) for _ in range(d)) for _ in range(draw(st.integers(1, d + 1)))]
     if draw(st.booleans()):
@@ -481,25 +492,60 @@ def least_image_inputs(draw):
     for _ in range(draw(st.integers(0, 2))):
         a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
         rows.append(draw(st.sampled_from((a, la.vadd(a, b), la.scale(a, -1)))))
-    rows = tuple(rows[: d + 3])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * d)
+    rows = tuple(rows[: d + 3 - (d == 5)])
     assume(la.rank(rows) == d)
     return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(least_image_inputs())
+@example(((0, 0), (0, 1), (1, -1), (1, 0), (-1, 1)))
+@example(((1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)))
+def test_each_subset_walk_is_the_column_hnf_of_each_ordered_basis(rows):
+    # subset by subset in combinations order, the walk with the other rows
+    # riding yields the column HNF of the ordered basis stacked over the
+    # others in input order, the orders in plain-changes order; over all
+    # subsets, one image per ordered basis
+    d, n = len(rows[0]), len(rows)
+    starts = la._basis_starts(rows)
+    walked = []
+    for s in combinations(range(n), d):
+        basis = [rows[i] for i in s]
+        if not la.det(basis):
+            continue
+        rest = [row for i, row in enumerate(rows) if i not in s]
+        images = [tuple(map(tuple, a)) for a in la._orbit_repairs(next(starts), d)]
+        assert images == [
+            la.transpose(oracles.row_hnf(la.transpose([basis[i] for i in order] + rest)))
+            for order in oracles.plain_changes(d)
+        ]
+        walked += images
+    assert next(starts, None) is None
+    assert sorted(walked) == sorted(oracles.hnf_images(rows))
 
 
 @settings(max_examples=200, deadline=None)
 @given(least_image_inputs())
 # d = 1, a later sign flip least; a later, smaller image tying on the
-# first column's minimum; a later image sorting equal on other basis rows
+# first column's minimum; a later image sorting equal on other basis rows;
+# tied least images, the walk's last yield not the first of the
+# depth-first order over ordered bases
 @example(((1,), (-1,), (3,)))
 @example(((0, 1, -3), (-1, 0, -1), (1, 2, -2), (1, 0, 0)))
 @example(((0, -3), (-1, 1), (-1, 2), (-3, 1)))
-def test_least_image_is_the_first_least_oracle_image(rows):
-    # each yield sorts strictly below the one before, and the last is the
-    # whole first winner, basis rows included
+@example(((0, 0), (0, 1), (1, -1), (1, 0), (-1, 1)))
+def test_least_image_sorts_to_the_least_oracle_image(rows):
+    # each yield is an image and sorts strictly below the one before, and
+    # the last has the least sorted rows of all images; which of several
+    # tied images comes last is the walk's order, and no key reads it
     images = list(la.least_images(rows))
     keys = [tuple(sorted(h)) for h in images]
     assert all(a > b for a, b in zip(keys, keys[1:]))
-    assert images[-1] == min(oracles.hnf_images(rows), key=lambda h: tuple(sorted(h)))
+    oracle = set(oracles.hnf_images(rows))
+    assert set(images) <= oracle
+    assert keys[-1] == min(tuple(sorted(h)) for h in oracle)
 
 
 @settings(max_examples=100, deadline=None)
@@ -507,7 +553,8 @@ def test_least_image_is_the_first_least_oracle_image(rows):
 @example([0, 3, -2, 0, 2, -3])
 @example([-1, 0, 4])
 def test_least_image_on_one_column(column):
-    # d = 1: no leaf is cut, and the last yield is the first least image
+    # d = 1: the subsets are the nonzero rows in input order, as the
+    # ordered bases are, so the last yield is the first least image
     rows = tuple((x,) for x in column)
     *_, last = la.least_images(rows)
     assert last == min(oracles.hnf_images(rows), key=lambda h: tuple(sorted(h)))

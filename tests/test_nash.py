@@ -301,8 +301,8 @@ def test_registry_keys_equal_fresh_keys_on_golden_trees():
 def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
     # every node of the dim-4 golden trees, expanded: the search that stops
     # at a registered minimum gives the keys and the registry that the
-    # minimum over every image gives, and stops at the first least image,
-    # basis rows included
+    # minimum over every image gives, its yields sort strictly lower one
+    # after another, and it stops at an image with the least sorted rows
     def trees():
         return [
             resolution_tree(cone_from_facets(presentation(name)), memoize=False)
@@ -322,10 +322,12 @@ def test_least_image_keys_and_bases_equal_the_unbounded_search(monkeypatch):
     stops, firsts, ran_out = [], [], []
 
     def recording_search(rows):
-        firsts.append(min(hnf_images(rows), key=lambda h: tuple(sorted(h))))
+        firsts.append(min(tuple(sorted(h)) for h in hnf_images(rows)))
         stops.append(None)
         for image in least_images(rows):
-            stops[-1] = image
+            key = tuple(sorted(image))
+            assert stops[-1] is None or key < stops[-1]
+            stops[-1] = key
             yield image
         ran_out.append(rows)
 
