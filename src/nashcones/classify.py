@@ -168,7 +168,7 @@ def classify(d, idx):
         if len(blocks) == 1:
             reducibility = ()
         else:
-            factors = sorted(map(_block_class, blocks), key=lambda k: _factor_order(k.cone))
+            factors = sorted(map(_factor_name, blocks), key=lambda k: _factor_order(k.cone))
             reducibility = tuple(k.name for k in factors)
         name = f"{letter}_{idx}_{len(classes) + 1}"
         classes.append(ConeClass(name, d, idx, _dual_index(m, idx), m, reducibility))
@@ -192,21 +192,18 @@ def _dual_index(rows, idx):
 
 def _factor_name(rows):
     """The class of the simplicial cone with facet rows ``rows``, in any
-    presentation."""
-    return _class_of(min(la.hnf_orbit(rows)))
-
-
-def _block_class(h):
-    """:func:`_factor_name` of a block of :func:`cones._finest_split`,
-    which already is a column HNF (a diagonal block of one), so its walk
-    starts from it."""
-    return _class_of(min(la._hnf_walk(h)))
-
-
-def _class_of(least):
-    """The class whose presentation is ``least``, the least HNF of an
-    orbit."""
-    for cls in classify(len(least), la.lattice_index(least)):
+    presentation: the one whose presentation is the least HNF of their
+    orbit. Rows already in column HNF, as each block of
+    :func:`cones._finest_split` is (a diagonal block of one), are walked
+    as they stand, without :func:`intlinalg.column_hnf`."""
+    d = len(rows)
+    in_hnf = all(
+        len(row) == d and row[i] > 0 and not any(row[i + 1 :])
+        and all(0 <= x < row[i] for x in row[:i])
+        for i, row in enumerate(rows)
+    )
+    least = min(la._hnf_walk(rows) if in_hnf else la.hnf_orbit(rows))
+    for cls in classify(d, la.lattice_index(least)):
         if cls.presentation == least:
             return cls
     raise AssertionError("factor not found in its classification table")

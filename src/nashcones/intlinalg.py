@@ -40,7 +40,6 @@ column HNFs by the rule ``cones.direct_sum_decompose`` states.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 from operator import mul
 
@@ -388,8 +387,8 @@ def _orbit_repairs(h, d):
 
 def _basis_starts(rows):
     """Yield, for each nonsingular d-subset s of the rows in
-    :func:`combinations` order, the column HNF of the subset stacked over
-    the other rows in input order, as row lists: its walk's start. The
+    ``itertools.combinations`` order, the column HNF of the subset stacked
+    over the other rows in input order, as row lists: its walk's start. The
     search runs depth first on rows transposed, pivoting subset row k into
     column k (:func:`_pivot`, which never changes a row list in place, on
     a shallow copy), so a common prefix is eliminated once, and a prefix

@@ -277,6 +277,11 @@ def test_factor_name_finds_the_class_from_any_presentation():
                 rng.shuffle(rows)
                 u = oracles.random_unimodular(rng, d) if d > 1 else ((rng.choice((1, -1)),),)
                 assert _factor_name(la.matmul(rows, u)).name == cls.name, cls.name
+                # in column HNF, walked as it stands; lower triangular with a
+                # positive diagonal but one entry unreduced, put in HNF first
+                assert _factor_name(cls.presentation) is cls
+                shear = [[int(r == c or (r, c) == (d - 1, 0)) for c in range(d)] for r in range(d)]
+                assert _factor_name(la.matmul(cls.presentation, shear)) is cls
 
 
 @st.composite
