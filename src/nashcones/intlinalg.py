@@ -24,8 +24,9 @@ Trotter, Johnson 1963), each one adjacent row swap from the one before,
 the form repaired after each swap with one 2x2 unimodular fix of two
 columns (:func:`_orbit_repairs`). :func:`hnf_orbit` walks from a matrix's
 column HNF; its private half, ``_hnf_walk``, from a matrix that already
-is one, as ``classify``'s enumerated matrices are. It lists the class
-orbits, which give their direct-sum splits and their factor names.
+is one, as ``classify``'s enumerated matrices and factor blocks are.
+It lists the class orbits, which give their direct-sum splits and their
+factor names.
 :func:`least_images`, the canonical-key search over any rows spanning
 Q^d, walks each nonsingular d-subset of the rows the same way, the other
 rows riding along in every column operation, and yields each image
@@ -424,6 +425,8 @@ def least_images(rows):
     cut and is below every image before it, so it is always yielded: a
     caller that knows the least sorted rows may stop at the yield that
     has them."""
+    if not rows:
+        return
     d = len(rows[0])
     least = best = None
     for h in _basis_starts(rows):

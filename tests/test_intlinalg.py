@@ -563,6 +563,7 @@ def test_least_image_on_one_column(column):
 def test_least_image_without_a_basis_is_none():
     assert next(la.least_images(((1, 2), (2, 4))), None) is None
     assert next(la.least_images(((0,),)), None) is None
+    assert next(la.least_images(()), None) is None
 
 
 @st.composite
