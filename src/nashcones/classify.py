@@ -13,24 +13,26 @@ once: a matrix not yet marked starts a new class (and is the lex-least
 member of it), and marks its whole orbit, walked from the matrix itself,
 which already is a column HNF.
 
-A class's dual index comes from its presentation alone
-(:func:`_dual_index`), and its cone is built only when read
-(:attr:`ConeClass.cone`), so a table builds no cone but those of its
-factor classes, which the factor order reads.
-
 The same orbit gives the class's finest direct sum, by the rule
 :func:`cones.direct_sum_decompose` states: the first image with the most
 cuts (:func:`cones._finest_split`) has one diagonal block per factor.
-Each factor is the class whose presentation is the least image of its
-block's orbit, and the factors are ordered by :func:`cones._factor_order`,
-the order ``direct_sum_decompose`` sorts by.
+:func:`classify` keeps those blocks and computes nothing else: a table
+pass walks orbits and builds no cone and names no factor.
+
+Everything else a class holds is a function of its presentation and is
+computed on first read and kept. The dual index comes from the
+presentation alone (:func:`_dual_index`) and the cone from
+:func:`cones.simplicial_cone`. Each factor is the class whose
+presentation is the least image of its block's orbit, and the factors
+are ordered by :func:`cones._factor_order`, the order
+``direct_sum_decompose`` sorts by.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
@@ -49,14 +51,27 @@ def _letter(dim):
 
 @dataclass(frozen=True)
 class ConeClass:
-    """One GL(d,Z)-equivalence class of simplicial cones."""
+    """One GL(d,Z)-equivalence class of simplicial cones.
+
+    ``blocks`` are the diagonal blocks of its finest direct sum, () when
+    irreducible. Equality, hash and repr read the other four fields."""
 
     name: str
     dim: int
     index: int
-    dual_index: int
     presentation: tuple
-    reducibility: tuple  # factor class names, finest first; () if irreducible
+    blocks: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def dual_index(self):
+        """I*, read off the presentation on first read."""
+        return _dual_index(self.presentation, self.index)
+
+    @cached_property
+    def reducibility(self):
+        """Factor class names in the factor order; () if irreducible."""
+        factors = sorted(map(_factor_name, self.blocks), key=lambda k: _factor_order(k.cone))
+        return tuple(k.name for k in factors)
 
     @cached_property
     def cone(self):
@@ -147,13 +162,14 @@ def classify(d, idx):
 
     Classes are named <letter>_<index>_<j> with j following the
     lexicographic order of the lex-least HNF presentation in each class.
-    Reducibility lists the direct-sum factor names, or () if irreducible.
+    Each class keeps the blocks of its finest direct sum; its I*, factor
+    names and cone are computed when first read.
     """
     letter = _letter(d)  # before any d!-sized orbit search starts
     if d == 1:
         if idx != 1:
             return ()
-        return (ConeClass("A", 1, 1, 1, ((1,),), ()),)
+        return (ConeClass("A", 1, 1, ((1,),)),)
 
     classes = []
     # The HNFs of every orbit kept so far: the walk reaches each orbit
@@ -165,13 +181,8 @@ def classify(d, idx):
         images = list(la._hnf_walk(m))
         seen.update(images)
         blocks = _finest_split(images)
-        if len(blocks) == 1:
-            reducibility = ()
-        else:
-            factors = sorted(map(_factor_name, blocks), key=lambda k: _factor_order(k.cone))
-            reducibility = tuple(k.name for k in factors)
         name = f"{letter}_{idx}_{len(classes) + 1}"
-        classes.append(ConeClass(name, d, idx, _dual_index(m, idx), m, reducibility))
+        classes.append(ConeClass(name, d, idx, m, tuple(blocks) if len(blocks) > 1 else ()))
     return tuple(classes)
 
 

@@ -442,7 +442,7 @@ def _finest_split(images):
     Only an image whose basis row d - 1 starts at 0 is read: :func:`_cuts`
     reads that row first and stops at a row that starts nonzero, so every
     other image has no cut. With no cut anywhere the block is the first
-    image."""
+    image itself: every row of a nonsingular HNF is nonzero."""
     images = iter(images)
     h = next(images)
     d, cuts = len(h[0]), []
@@ -451,6 +451,8 @@ def _finest_split(images):
             found = _cuts(g)
             if len(found) > len(cuts):
                 h, cuts = g, found
+    if not cuts:
+        return [h]
     bounds = (0, *cuts, d)
     return [tuple(row[i:j] for row in h if any(row[i:j])) for i, j in zip(bounds, bounds[1:])]
 

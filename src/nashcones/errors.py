@@ -25,6 +25,10 @@ class NotFullRank(LatticeError):
     pass
 
 
+class BoxTooLarge(LatticeError):
+    """A side of a parallelepiped's HNF box is longer than a range can be."""
+
+
 class NotProper(ValueError):
     """The input does not define a pointed, full-dimensional cone."""
 

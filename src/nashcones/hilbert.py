@@ -8,11 +8,13 @@ far, keeps exactly the indecomposable ones.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice, product
 
 from . import intlinalg as la
 from .cones import Cone, _dd_cut, _dual_extreme_rays, dual, simplicial_cone
+from .errors import BoxTooLarge
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ def parallelepiped_points(c):
     and f vanishes on the other rays, so the coordinate of x along r is
     (f . x) / (f . r): x is folded into the half-open parallelepiped by
     subtracting that coordinate's floor times r, for each r. The count
-    equals |det| of the ray matrix.
+    equals |det| of the ray matrix. A box side past ``sys.maxsize``, which
+    no range can hold, raises :class:`errors.BoxTooLarge`.
     """
     g = c.rays
     d = c.dim
@@ -76,6 +79,8 @@ def parallelepiped_points(c):
         raise ValueError("parallelepiped_points needs a simplicial cone")
     det_g = la.det(g)
     h = la.row_hnf(g)
+    if any(h[i][i] > sys.maxsize for i in range(d)):
+        raise BoxTooLarge(f"parallelepiped box side exceeds {sys.maxsize}")
     pairs = [(f, n) for r in g for f in c.facets if (n := la.dot(f, r))]
 
     points = []

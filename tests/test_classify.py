@@ -254,6 +254,17 @@ def test_reducibility_keeps_factor_order():
     assert by_name["D_4_15"].reducibility_label == "2 B_{2,1}"
 
 
+def test_reducibility_breaks_dimension_and_index_ties_by_key():
+    # D_9_79 is the first class with two distinct factors of equal
+    # dimension and index; they come in key order, not name order
+    by_name = {cls.name: cls for cls in classify(4, 9)}
+    assert by_name["D_9_79"].reducibility == ("B_3_2", "B_3_1")
+    assert by_name["D_9_79"].reducibility_label == "B_{3,2} ⊕ B_{3,1}"
+    for cls in by_name.values():
+        factors = oracles.direct_sum_by_projection(cls.cone)
+        assert cls.reducibility == oracles.reducibility_of(factors), cls.name
+
+
 def test_reducibility_matches_the_decomposition_oracle():
     # classify's orbit read and direct_sum_decompose, against the
     # projection route on every class of the dims 3-5 tables
@@ -399,6 +410,20 @@ def test_classify_builds_no_class_cone():
         assert cone_by_name(cls.name) is cls.cone, cls.name
         assert "cone" in vars(cls)
         assert cls.cone == simplicial_cone(cls.presentation)
+
+
+def test_classify_computes_no_lazy_field():
+    # a table pass walks orbits only: no I*, no factor name, no cone
+    classify.cache_clear()
+    try:
+        table = classify(3, 7)
+        assert classify.cache_info().currsize == 1  # no factor table built
+        for cls in table:
+            assert not {"dual_index", "reducibility", "cone"} & set(vars(cls)), cls.name
+        assert any(cls.reducibility for cls in table)
+        assert classify.cache_info().currsize == 3  # the 2-D and 1-D tables
+    finally:
+        classify.cache_clear()
 
 
 def test_dual_index_from_the_presentation_on_the_tables():

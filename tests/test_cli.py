@@ -88,6 +88,15 @@ def test_malformed_input_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["hilbert", "resolve"])
+def test_index_past_maxsize_exit_2(command):
+    # an HNF box side past 2^63 fails before any box point is listed
+    code, out, err = run_cli(command, "--rays", "99999999999999999999 1; 0 1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BoxTooLarge: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_resolve_text_matches_block():
     code, out, err = run_cli("resolve", "--facets", "1 0 0; 0 1 0; 1 1 2", "--format", "text")
     assert code == 0
