@@ -13,8 +13,9 @@ pairs. The JSON line each workload prints is kept under ``runs``, and
 ``summary`` gives, per workload and end-to-end metric, each side's
 quartiles, the relative change of the median, the pairs the change read
 lower, the parent's interquartile range, whether the change meets the
-claim rule, and the failed operations of each side. Progress goes to
-stderr.
+claim rule, the metric's bound from BENCHMARK.json and whether the
+median change is within it, and the failed operations of each side.
+Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 
 METRICS = ("pass_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def parse_run(stdout):
@@ -54,15 +56,19 @@ def quartiles(values):
 def summarize(runs, pairs):
     """Per workload: for each end-to-end metric, the parent's (before) and
     the change's (after) quartiles, the relative change of the median, the
-    pairs whose change run read lower, the parent's q3 - q1 and whether a
-    gain can be claimed; and the failed operations summed over each side's
-    runs. ``runs`` maps "parent-i" and "change-i" to the parsed output of
-    pair i.
+    pairs whose change run read lower, the parent's q3 - q1, whether a
+    gain can be claimed, the metric's bound and whether the median change
+    is within it; and the failed operations summed over each side's runs.
+    ``runs`` maps "parent-i" and "change-i" to the parsed output of pair i.
 
     Every metric is better lower. The claim rule holds when the change read
     lower in at least nine tenths of the pairs, ties counting for neither
     side, and its median lies below the parent's by more than the parent's
-    interquartile range."""
+    interquartile range. A change without a claim is judged on the bound
+    alone: its median may read worse than the parent's by at most the
+    bound, as a fraction."""
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     summary = {}
     for workload in runs["parent-0"]:
         before = [runs[f"parent-{i}"][workload] for i in range(pairs)]
@@ -74,13 +80,16 @@ def summarize(runs, pairs):
             q1, _, q3 = statistics.quantiles(b, n=4)
             wins = sum(x < y for x, y in zip(a, b))
             drop = statistics.median(b) - statistics.median(a)
+            change = round(statistics.median(a) / statistics.median(b) - 1, 4)
             entry[metric] = {
                 "before_q1_median_q3": quartiles(b),
                 "after_q1_median_q3": quartiles(a),
-                "median_change": round(statistics.median(a) / statistics.median(b) - 1, 4),
+                "median_change": change,
                 "pairs_after_lower": f"{wins}/{pairs}",
                 "parent_iqr": round(q3 - q1, 4),
                 "claim_rule_met": 10 * wins >= 9 * pairs and drop > q3 - q1,
+                "bound": bounds[metric],
+                "within_bound": change <= bounds[metric],
             }
         entry["failed"] = {
             "before": sum(r["failed"] for r in before),

@@ -13,32 +13,30 @@ once: a matrix not yet marked starts a new class (and is the lex-least
 member of it), and marks its whole orbit, walked from the matrix itself,
 which already is a column HNF.
 
-The same orbit gives the class's finest direct sum, by the rule
-:func:`cones.direct_sum_decompose` states: the first image with the most
-cuts (:func:`cones._finest_split`) has one diagonal block per factor.
-:func:`classify` keeps those blocks and computes nothing else: a table
-pass walks orbits and builds no cone and names no factor.
-
-Everything else a class holds is a function of its presentation and is
-computed on first read and kept. The dual index comes from the
-presentation alone (:func:`_dual_index`) and the cone from
-:func:`cones.simplicial_cone`. Each factor is the class whose
-presentation is the least image of its block's orbit, and the factors
-are ordered by :func:`cones._factor_order`, the order
-``direct_sum_decompose`` sorts by.
+A class is its presentation: ``ConeClass(name, dim, index,
+presentation)``, and everything else it holds is computed from the
+presentation on first read and kept, so a table pass walks orbits and
+builds no cone, splits no orbit and names no factor. The cone comes from
+:func:`cones.simplicial_cone` and I* is :func:`cones.dual_index` of it.
+The finest direct sum is read from a second walk of the orbit, by the
+rule :func:`cones.direct_sum_decompose` states: the first image with the
+most cuts (:func:`cones._finest_split`) has one diagonal block per
+factor. Each factor is the class whose presentation is the least image
+of its block's orbit, and the factors are ordered by
+:func:`cones._factor_order`, the order ``direct_sum_decompose`` sorts by.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import _factor_order, _finest_split, simplicial_cone
+from .cones import _factor_order, _finest_split, dual_index, simplicial_cone
 
 _LETTERS = "ABCDEFGH"
 
@@ -51,26 +49,28 @@ def _letter(dim):
 
 @dataclass(frozen=True)
 class ConeClass:
-    """One GL(d,Z)-equivalence class of simplicial cones.
-
-    ``blocks`` are the diagonal blocks of its finest direct sum, () when
-    irreducible. Equality, hash and repr read the other four fields."""
+    """One GL(d,Z)-equivalence class of simplicial cones, a function of
+    its four fields; every other value is computed from the presentation
+    on first read and kept."""
 
     name: str
     dim: int
     index: int
     presentation: tuple
-    blocks: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def dual_index(self):
-        """I*, read off the presentation on first read."""
-        return _dual_index(self.presentation, self.index)
+        """I* of the class cone."""
+        return dual_index(self.cone)
 
     @cached_property
     def reducibility(self):
-        """Factor class names in the factor order; () if irreducible."""
-        factors = sorted(map(_factor_name, self.blocks), key=lambda k: _factor_order(k.cone))
+        """Factor class names in the factor order; () if irreducible.
+        The split is read from a second walk of the class orbit."""
+        blocks = _finest_split(la._hnf_walk(self.presentation))
+        if len(blocks) == 1:
+            return ()
+        factors = sorted(map(_factor_name, blocks), key=lambda k: _factor_order(k.cone))
         return tuple(k.name for k in factors)
 
     @cached_property
@@ -162,8 +162,8 @@ def classify(d, idx):
 
     Classes are named <letter>_<index>_<j> with j following the
     lexicographic order of the lex-least HNF presentation in each class.
-    Each class keeps the blocks of its finest direct sum; its I*, factor
-    names and cone are computed when first read.
+    A pass walks each class orbit once and computes nothing else; a
+    class's I*, factor names and cone are computed when first read.
     """
     letter = _letter(d)  # before any d!-sized orbit search starts
     if d == 1:
@@ -178,27 +178,9 @@ def classify(d, idx):
     for m in enumerate_hnf(d, idx):
         if m in seen:
             continue
-        images = list(la._hnf_walk(m))
-        seen.update(images)
-        blocks = _finest_split(images)
-        name = f"{letter}_{idx}_{len(classes) + 1}"
-        classes.append(ConeClass(name, d, idx, m, tuple(blocks) if len(blocks) > 1 else ()))
+        seen.update(la._hnf_walk(m))
+        classes.append(ConeClass(f"{letter}_{idx}_{len(classes) + 1}", d, idx, m))
     return tuple(classes)
-
-
-def _dual_index(rows, idx):
-    """The dual index I* of the simplicial cone {x : rows x >= 0}, where
-    rows is square with |det| = idx, read off rows without the cone.
-
-    The cone's rays are the primitive cofactor normals n_j of the rows
-    other than j, n_j / g_j with g_j = gcd(n_j), and the n_j are the
-    columns of adj(rows) up to sign, with |det adj(rows)| = idx^(d-1).
-    So I* = idx^(d-1) / (g_0 ... g_{d-1})."""
-    d = len(rows)
-    g = 1
-    for j in range(d):
-        g *= la.vec_gcd(la.normal(rows[:j] + rows[j + 1 :], d))
-    return idx ** (d - 1) // g
 
 
 def _factor_name(rows):

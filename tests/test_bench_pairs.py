@@ -92,3 +92,17 @@ def test_summarize_claim_rule_needs_nine_tenths_of_pairs_and_a_drop_past_the_iqr
     small = bench.summarize(_runs(bench, parent, [x - 0.01 for x in parent]), 10)["tables"]
     assert small["pass_s"]["pairs_after_lower"] == "10/10"
     assert small["pass_s"]["claim_rule_met"] is False
+
+
+def test_summarize_reads_each_bound_from_the_benchmark_and_checks_the_median():
+    bench = _load()
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    slower = bench.summarize(_runs(bench, parent, [x * 1.1 for x in parent]), 10)["tables"]
+    assert slower["pass_s"]["bound"] == 0.25
+    assert slower["pass_s"]["median_change"] == 0.1
+    assert slower["pass_s"]["within_bound"] is True
+    assert slower["setup_s"]["within_bound"] is True  # ties: a change of 0
+    assert slower["peak_rss_mb"]["bound"] == 0.1
+    much_slower = bench.summarize(_runs(bench, parent, [x * 1.3 for x in parent]), 10)["tables"]
+    assert much_slower["pass_s"]["median_change"] == 0.3
+    assert much_slower["pass_s"]["within_bound"] is False

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+from dataclasses import fields
 from itertools import combinations, permutations
 from math import gcd
 
@@ -11,7 +13,7 @@ import oracles
 from nashcones import checks
 from nashcones import intlinalg as la
 from nashcones.classify import (
-    _dual_index,
+    ConeClass,
     _factor_name,
     _perm_equivalent,
     class_counts,
@@ -412,11 +414,17 @@ def test_classify_builds_no_class_cone():
         assert cls.cone == simplicial_cone(cls.presentation)
 
 
-def test_classify_computes_no_lazy_field():
-    # a table pass walks orbits only: no I*, no factor name, no cone
+def test_classify_computes_no_lazy_field(monkeypatch):
+    # a table pass walks orbits only: no split, no I*, no factor name, no cone
+    def unreachable(*args):
+        raise AssertionError("_finest_split called from a table pass")
+
     classify.cache_clear()
     try:
+        # the package's classify attribute is the function, not the module
+        monkeypatch.setattr(sys.modules["nashcones.classify"], "_finest_split", unreachable)
         table = classify(3, 7)
+        monkeypatch.undo()
         assert classify.cache_info().currsize == 1  # no factor table built
         for cls in table:
             assert not {"dual_index", "reducibility", "cone"} & set(vars(cls)), cls.name
@@ -426,27 +434,13 @@ def test_classify_computes_no_lazy_field():
         classify.cache_clear()
 
 
-def test_dual_index_from_the_presentation_on_the_tables():
-    for d, top in ((2, 27), *TABLE_RANGES):
+def test_a_class_is_its_four_fields():
+    assert [f.name for f in fields(ConeClass)] == ["name", "dim", "index", "presentation"]
+    for d, top in ((3, 8), (4, 6)):
         for i in range(1, top + 1):
             for cls in classify(d, i):
-                expected = dual_index(simplicial_cone(cls.presentation))
-                assert _dual_index(cls.presentation, i) == expected, cls.name
-
-
-@st.composite
-def _nonsingular(draw):
-    """A nonsingular matrix of order 2-5 with entries in +-6, often with a
-    common factor in a row: rarely in HNF, rows often not primitive."""
-    d = draw(st.integers(2, 5))
-    rows = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=d, max_size=d))
-    scales = draw(st.lists(st.sampled_from((1, 1, 2, 3, -4)), min_size=d, max_size=d))
-    m = tuple(la.scale(row, k) for row, k in zip(rows, scales))
-    assume(la.det(m))
-    return m
-
-
-@settings(max_examples=200, deadline=None)
-@given(_nonsingular())
-def test_dual_index_from_any_nonsingular_rows(m):
-    assert _dual_index(m, abs(la.det(m))) == dual_index(simplicial_cone(m))
+                copy = ConeClass(cls.name, cls.dim, cls.index, cls.presentation)
+                assert copy == cls and hash(copy) == hash(cls), cls.name
+                assert copy.reducibility == cls.reducibility, cls.name
+                assert copy.reducibility_label == cls.reducibility_label, cls.name
+                assert copy.dual_index == cls.dual_index, cls.name
