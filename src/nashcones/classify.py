@@ -16,14 +16,11 @@ which already is a column HNF.
 A class is its presentation: ``ConeClass(name, dim, index,
 presentation)``, and everything else it holds is computed from the
 presentation on first read and kept, so a table pass walks orbits and
-builds no cone, splits no orbit and names no factor. The cone comes from
-:func:`cones.simplicial_cone` and I* is :func:`cones.dual_index` of it.
-The finest direct sum is read from a second walk of the orbit, by the
-rule :func:`cones.direct_sum_decompose` states: the first image with the
-most cuts (:func:`cones._finest_split`) has one diagonal block per
-factor. Each factor is the class whose presentation is the least image
-of its block's orbit, and the factors are ordered by
-:func:`cones._factor_order`, the order ``direct_sum_decompose`` sorts by.
+builds no cone, splits no cone and names no factor. The cone comes from
+:func:`cones.simplicial_cone`, I* is :func:`cones.dual_index` of it,
+and the factors are :func:`cones.direct_sum_decompose` of it, the
+package's one direct-sum rule, each named by the class whose
+presentation is the least image of its facets' orbit.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import _factor_order, _finest_split, dual_index, simplicial_cone
+from .cones import direct_sum_decompose, dual_index, simplicial_cone
 
 _LETTERS = "ABCDEFGH"
 
@@ -65,13 +62,12 @@ class ConeClass:
 
     @cached_property
     def reducibility(self):
-        """Factor class names in the factor order; () if irreducible.
-        The split is read from a second walk of the class orbit."""
-        blocks = _finest_split(la._hnf_walk(self.presentation))
-        if len(blocks) == 1:
+        """Factor class names in the factor order; () if irreducible:
+        :func:`cones.direct_sum_decompose` of the class cone."""
+        factors = direct_sum_decompose(self.cone)
+        if len(factors) == 1:
             return ()
-        factors = sorted(map(_factor_name, blocks), key=lambda k: _factor_order(k.cone))
-        return tuple(k.name for k in factors)
+        return tuple(_factor_name(f.facets).name for f in factors)
 
     @cached_property
     def cone(self):
@@ -186,17 +182,9 @@ def classify(d, idx):
 def _factor_name(rows):
     """The class of the simplicial cone with facet rows ``rows``, in any
     presentation: the one whose presentation is the least HNF of their
-    orbit. Rows already in column HNF, as each block of
-    :func:`cones._finest_split` is (a diagonal block of one), are walked
-    as they stand, without :func:`intlinalg.column_hnf`."""
-    d = len(rows)
-    in_hnf = all(
-        len(row) == d and row[i] > 0 and not any(row[i + 1 :])
-        and all(0 <= x < row[i] for x in row[:i])
-        for i, row in enumerate(rows)
-    )
-    least = min(la._hnf_walk(rows) if in_hnf else la.hnf_orbit(rows))
-    for cls in classify(d, la.lattice_index(least)):
+    orbit."""
+    least = min(la.hnf_orbit(rows))
+    for cls in classify(len(rows), la.lattice_index(least)):
         if cls.presentation == least:
             return cls
     raise AssertionError("factor not found in its classification table")

@@ -18,15 +18,16 @@ orbit walk of each basis subset. A caller that keys many cones, such as
 a resolution tree, can hand :func:`canonical_key` a registry of the
 class minima keyed so far; a cone of a registered class stops the search
 at the first image that sorts to its class's minimum, and takes its key
-unchanged. Lattice direct sums are read off column HNFs, by the rule
-:func:`direct_sum_decompose` states.
+unchanged. Lattice direct sums are read off column HNFs by
+:func:`direct_sum_decompose`, the package's one direct-sum rule, which
+``classify`` reads each class's factors from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations, islice
+from itertools import accumulate, combinations, islice
 from operator import and_
 
 from . import intlinalg as la
@@ -413,74 +414,35 @@ def canonical_key(c, registry=None) -> bytes:
 # sums
 
 
-def _cuts(h):
-    """The k in 1..d-1 at which the HNF image h, d = len(h[0]), splits:
-    its lower triangular basis rows h[:d] have a zero lower-left block
-    h[k:d][:k] (read up from row d - 1, stopping at a row that starts
-    nonzero, as most do), and every other row is zero on one side of k."""
+def _splits_at(h, k):
+    """Whether the HNF image h, d = len(h[0]), splits at k: its basis rows
+    h[k:d] are zero left of column k (the rows above are zero right of it,
+    being lower triangular), and every other row is zero on one side of k."""
     d = len(h[0])
-    cuts, low = [], d
-    for k in range(d - 1, 0, -1):
-        low = min(low, next(j for j, x in enumerate(h[k]) if x))
-        if not low:
-            break
-        if low == k:
-            cuts.append(k)
-    for row in h[d:]:
-        support = [j for j, x in enumerate(row) if x]
-        cuts = [k for k in cuts if not support[0] < k <= support[-1]]
-    return cuts[::-1]
-
-
-def _finest_split(images):
-    """The blocks of the first of the HNF images of one orbit with the most
-    cuts: for each, the rows nonzero in it (each row is nonzero in one
-    block only), restricted to its columns.
-    They present the atoms of the finest lattice direct sum, one block
-    when the cone is irreducible (see :func:`direct_sum_decompose`).
-
-    Only an image whose basis row d - 1 starts at 0 is read: :func:`_cuts`
-    reads that row first and stops at a row that starts nonzero, so every
-    other image has no cut. With no cut anywhere the block is the first
-    image itself: every row of a nonsingular HNF is nonzero."""
-    images = iter(images)
-    h = next(images)
-    d, cuts = len(h[0]), []
-    for g in chain((h,), images):
-        if not g[d - 1][0]:
-            found = _cuts(g)
-            if len(found) > len(cuts):
-                h, cuts = g, found
-    if not cuts:
-        return [h]
-    bounds = (0, *cuts, d)
-    return [tuple(row[i:j] for row in h if any(row[i:j])) for i, j in zip(bounds, bounds[1:])]
-
-
-def _factor_order(f):
-    """The order of direct-sum factors: decreasing dimension, then index,
-    then key. Equivalent cones sort together."""
-    return (-f.dim, index(f), canonical_key(f))
+    return not any(any(row[:k]) for row in h[k:d]) and not any(
+        any(row[:k]) and any(row[k:]) for row in h[d:]
+    )
 
 
 def direct_sum_decompose(c):
     """Finest decomposition of c as a lattice direct sum of lower cones:
     the indecomposable factors, each in coordinates of a lattice basis of
-    its span, sorted by :func:`_factor_order`; [c] when c is irreducible.
+    its span, sorted by decreasing dimension, then index, then key (so
+    equivalent factors sort together); [c] when c is irreducible.
 
-    This is the one direct-sum rule, which ``classify`` shares. Order a
-    basis b of the rays first and take the column HNF of the rays, their
-    image under the unimodular u that puts b in column HNF. At a cut
-    (:func:`_cuts`), u splits Z^d and the rays. Conversely, when c = c1 +
-    c2, each ray of b lies in one summand, and b ordered summand by summand
-    has a block-diagonal column HNF (it is unique, and a block-diagonal
-    matrix of HNFs is one), so a cut depends only on the set of basis
-    positions before it. These splitting sets are closed under complement
-    and intersection, so the factors are the atoms, each the smallest
-    splitting set holding the first unplaced position: at most 2^(d-1) - 1
-    sets tried. Ordered atom by atom, the image cuts at each atom's end
-    and nowhere else, and its blocks (:func:`_finest_split`) are the
-    factors.
+    This is the package's one direct-sum rule. Order a basis b of the rays
+    first and take the column HNF of the rays, their image under the
+    unimodular u that puts b in column HNF. Where the image splits
+    (:func:`_splits_at`), u splits Z^d and the rays. Conversely, when c =
+    c1 + c2, each ray of b lies in one summand, and b ordered summand by
+    summand has a block-diagonal column HNF (it is unique, and a
+    block-diagonal matrix of HNFs is one), so a split depends only on the
+    set of basis positions before it. These splitting sets are closed
+    under complement and intersection, so the factors are the atoms, each
+    the smallest splitting set holding the first unplaced position: at
+    most 2^(d-1) - 1 sets tried. Ordered atom by atom, the image splits at
+    each atom's end, and its blocks there, the rows nonzero in each
+    restricted to its columns, are the factors.
     """
     d = c.dim
     basis = list(islice(la.independent(c.rays), d))
@@ -490,7 +452,7 @@ def direct_sum_decompose(c):
         return la.column_hnf([gens[j] for j in s] + [r for j, r in enumerate(gens) if j not in s])
 
     def splits(s):  # the basis alone first: most sets fail there
-        return all(len(s) in _cuts(image(s, part)) for part in (rows[:d], rows))
+        return all(_splits_at(image(s, part), len(s)) for part in (rows[:d], rows))
 
     atoms, rest = [], tuple(range(d))
     while rest:
@@ -500,5 +462,7 @@ def direct_sum_decompose(c):
         rest = tuple(j for j in rest if j not in atom)
     if len(atoms) == 1:
         return [c]
-    factors = [cone_from_rays(b) for b in _finest_split([image(sum(atoms, ()), rows)])]
-    return sorted(factors, key=_factor_order)
+    h = image(sum(atoms, ()), rows)
+    ends = list(accumulate(map(len, atoms), initial=0))
+    factors = [cone_from_rays([r[i:j] for r in h if any(r[i:j])]) for i, j in zip(ends, ends[1:])]
+    return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))

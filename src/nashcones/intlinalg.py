@@ -24,9 +24,8 @@ Trotter, Johnson 1963), each one adjacent row swap from the one before,
 the form repaired after each swap with one 2x2 unimodular fix of two
 columns (:func:`_orbit_repairs`). :func:`hnf_orbit` walks from a matrix's
 column HNF; its private half, ``_hnf_walk``, from a matrix that already
-is one, as ``classify``'s enumerated matrices and factor blocks are.
-It lists the class orbits, which give their direct-sum splits and their
-factor names.
+is one, as ``classify``'s enumerated matrices are. It lists the class
+orbits, and the orbit of a factor's facets gives the factor's name.
 :func:`least_images`, the canonical-key search over any rows spanning
 Q^d, walks each nonsingular d-subset of the rows the same way, the other
 rows riding along in every column operation, and yields each image
@@ -35,7 +34,8 @@ when its least row is above the last yield's least row. The extended
 Euclid, :func:`xgcd`, is the package's only one: the column step, the
 walk's fix and ``surface``'s 2-D standard form take their Bezout pairs
 from it. Adjugates come from cofactor normals. Direct sums are read off
-column HNFs by the rule ``cones.direct_sum_decompose`` states.
+column HNFs by ``cones.direct_sum_decompose``, the package's one
+direct-sum rule.
 """
 
 from __future__ import annotations

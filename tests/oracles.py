@@ -9,7 +9,6 @@ from nashcones import intlinalg as la
 from nashcones import surface
 from nashcones.classify import _display, _factor_name, _ordered_factorizations
 from nashcones.cones import (
-    _cuts,
     canonical_key,
     cone_from_facets,
     cone_from_rays,
@@ -233,8 +232,7 @@ def reducibility_label(reducibility):
 
 
 # The direct-sum split by one integral projection per set of ray-basis
-# positions, the reference for the split test of cones.direct_sum_decompose
-# and the orbit read of classify.classify.
+# positions, the reference for the split test of cones.direct_sum_decompose.
 
 
 def direct_sum_by_projection(c):
@@ -305,18 +303,6 @@ def factor_summary(factors):
         (f.dim, len(f.rays), len(f.facets), index(f), dual_index(f), canonical_key(f))
         for f in factors
     )
-
-
-# The split of every image, the reference for cones._finest_split, which
-# reads only the images that can have a cut.
-
-
-def finest_split_by_max(images):
-    """The blocks of the first image with the most cuts, found by running
-    :func:`cones._cuts` on every image."""
-    h, cuts = max(((h, _cuts(h)) for h in images), key=lambda pair: len(pair[1]))
-    bounds = (0, *cuts, len(h[0]))
-    return [tuple(row[i:j] for row in h if any(row[i:j])) for i, j in zip(bounds, bounds[1:])]
 
 
 # The per-combination matrix builder, the reference for

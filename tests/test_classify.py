@@ -22,8 +22,7 @@ from nashcones.classify import (
     enumerate_hnf,
 )
 from nashcones.cones import (
-    _cuts,
-    _finest_split,
+    _splits_at,
     canonical_key,
     cone_from_facets,
     direct_sum_decompose,
@@ -230,7 +229,7 @@ def test_reducibility_labels():
     assert by_name["D_1_1"].reducibility_label == "4A"
     assert by_name["D_2_2"].reducibility_label == "C_{2,2} ⊕ A"
     assert by_name["D_2_3"].reducibility_label == ""
-    # the least presentation of each of these classes has no cut; only
+    # the least presentation of each of these classes splits nowhere; only
     # another image of its orbit is block-diagonal
     for name, label in (
         ("D_4_15", "2 B_{2,1}"),
@@ -239,7 +238,7 @@ def test_reducibility_labels():
         ("D_8_68", "B_{2,1} ⊕ B_{4,1}"),
         ("D_8_75", "B_{2,1} ⊕ B_{4,2}"),
     ):
-        assert _cuts(by_name[name].presentation) == [], name
+        assert not any(_splits_at(by_name[name].presentation, k) for k in range(1, 4)), name
         assert by_name[name].reducibility_label == label, name
 
 
@@ -268,7 +267,7 @@ def test_reducibility_breaks_dimension_and_index_ties_by_key():
 
 
 def test_reducibility_matches_the_decomposition_oracle():
-    # classify's orbit read and direct_sum_decompose, against the
+    # classify's factor names and direct_sum_decompose, against the
     # projection route on every class of the dims 3-5 tables
     for d, top in ((3, 27), (4, 8), (5, 3)):
         for i in range(1, top + 1):
@@ -290,8 +289,8 @@ def test_factor_name_finds_the_class_from_any_presentation():
                 rng.shuffle(rows)
                 u = oracles.random_unimodular(rng, d) if d > 1 else ((rng.choice((1, -1)),),)
                 assert _factor_name(la.matmul(rows, u)).name == cls.name, cls.name
-                # in column HNF, walked as it stands; lower triangular with a
-                # positive diagonal but one entry unreduced, put in HNF first
+                # in column HNF already, and lower triangular with a positive
+                # diagonal but one entry unreduced
                 assert _factor_name(cls.presentation) is cls
                 shear = [[int(r == c or (r, c) == (d - 1, 0)) for c in range(d)] for r in range(d)]
                 assert _factor_name(la.matmul(cls.presentation, shear)) is cls
@@ -316,42 +315,12 @@ def _block_sums(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_block_sums())
-def test_orbit_split_matches_decomposition(rows):
+def test_block_sums_decompose_as_the_projection_route(rows):
     cone = simplicial_cone(rows)
-    blocks = _finest_split(la.hnf_orbit(cone.facets))
-    factors = oracles.direct_sum_by_projection(cone)
-    assert len(blocks) == len(factors)
-    least = sorted(min(la.hnf_orbit(b)) for b in blocks)
-    assert least == sorted(min(la.hnf_orbit(f.facets)) for f in factors)
-
-
-def _assert_no_cut_unless_row_starts_at_zero(images):
-    # _cuts reads basis row d - 1 first and stops at a row that starts
-    # nonzero, so only an image whose row d - 1 starts at 0 can have a cut
-    d = len(images[0][0])
-    for h in images:
-        if h[d - 1][0]:
-            assert _cuts(h) == [], h
-
-
-def test_split_reads_on_table_orbits():
-    # the HNF orbit of every class of the dims 3-5 tables (dim 5 up to
-    # index 3): the premise, and the split equal to the rule that reads
-    # every image
-    for d, top in ((3, 27), (4, 8), (5, 3)):
-        for i in range(1, top + 1):
-            for cls in classify(d, i):
-                images = list(la.hnf_orbit(cls.presentation))
-                _assert_no_cut_unless_row_starts_at_zero(images)
-                assert _finest_split(images) == oracles.finest_split_by_max(images), cls.name
-
-
-@settings(max_examples=60, deadline=None)
-@given(_block_sums())
-def test_split_reads_on_block_sums(rows):
-    images = list(la.hnf_orbit(simplicial_cone(rows).facets))
-    _assert_no_cut_unless_row_starts_at_zero(images)
-    assert _finest_split(iter(images)) == oracles.finest_split_by_max(images)
+    factors = direct_sum_decompose(cone)
+    want = oracles.direct_sum_by_projection(cone)
+    assert tuple(_factor_name(f.facets).name for f in factors) == oracles.reducibility_of(want)
+    assert oracles.factor_summary(factors) == oracles.factor_summary(want)
 
 
 def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
@@ -367,8 +336,9 @@ def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
 
 
 def test_classify_starts_no_walk_from_column_hnf(monkeypatch):
-    # classify's matrices and factor blocks are column HNFs already, so
-    # every class walk and factor lookup starts from them
+    # classify's enumerated matrices are column HNFs already, so every
+    # class walk starts from them; a factor lookup takes facets in any
+    # presentation, so reducibilities are read with column_hnf restored
     def unreachable(*args):
         raise AssertionError("column_hnf called from a classify pass")
 
@@ -376,10 +346,11 @@ def test_classify_starts_no_walk_from_column_hnf(monkeypatch):
     monkeypatch.setattr(la, "column_hnf", unreachable)
     try:
         table = classify(4, 8)
+        monkeypatch.undo()
+        assert len(table) == 83
+        assert sum(1 for cls in table if cls.reducibility) > 0
     finally:
         classify.cache_clear()
-    assert len(table) == 83
-    assert sum(1 for cls in table if cls.reducibility) > 0
 
 
 # sha256 over the (name, presentation, reducibility, reducibility_label,
@@ -403,11 +374,13 @@ def test_classify_builds_no_class_cone():
     classify.cache_clear()
     table = classify(3, 7)
     assert not [cls.name for cls in table if "cone" in vars(cls)]
-    # a 2-D class holds its cone exactly when the factor order read it
+    # the factor order reads the factor cones, so no 2-D factor class
+    # builds its own
     factors = {name for cls in table for name in cls.reducibility}
+    assert any(name.startswith("B_") for name in factors)
     for i in range(1, 8):
         for k in classify(2, i):
-            assert ("cone" in vars(k)) == (k.name in factors), k.name
+            assert "cone" not in vars(k), k.name
     for cls in table:
         assert cone_by_name(cls.name) is cls.cone, cls.name
         assert "cone" in vars(cls)
@@ -417,12 +390,12 @@ def test_classify_builds_no_class_cone():
 def test_classify_computes_no_lazy_field(monkeypatch):
     # a table pass walks orbits only: no split, no I*, no factor name, no cone
     def unreachable(*args):
-        raise AssertionError("_finest_split called from a table pass")
+        raise AssertionError("direct_sum_decompose called from a table pass")
 
     classify.cache_clear()
     try:
         # the package's classify attribute is the function, not the module
-        monkeypatch.setattr(sys.modules["nashcones.classify"], "_finest_split", unreachable)
+        monkeypatch.setattr(sys.modules["nashcones.classify"], "direct_sum_decompose", unreachable)
         table = classify(3, 7)
         monkeypatch.undo()
         assert classify.cache_info().currsize == 1  # no factor table built

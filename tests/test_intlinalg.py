@@ -375,8 +375,8 @@ def test_hnf_orbit_is_the_column_hnf_of_each_plain_changes_order(m):
 def test_hnf_orbit_starts_from_the_column_hnf_of_input_not_in_hnf():
     # classify walks its enumerated HNFs directly (_hnf_walk); hnf_orbit
     # takes any presentation and must put it in column HNF first: table
-    # presentations moved by a unimodular map, and factor blocks of small
-    # random rows, as _factor_name meets them
+    # presentations moved by a unimodular map, and small random rows, such
+    # as the factor facets _factor_name meets
     rng = random.Random(31)
     inputs = []
     for d, top in ((2, 6), (3, 5), (4, 3)):
