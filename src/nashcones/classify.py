@@ -6,12 +6,15 @@ duplicates under row permutation + unimodular column action yields one
 representative per equivalence class.
 
 The HNF presentations of the class of ``m`` are exactly the column HNFs
-of the d! row permutations of ``m``, its orbit. :func:`intlinalg.hnf_orbit`
-walks it by adjacent row swaps, repairing the form with one 2x2 unimodular
-fix of two columns per swap. :func:`classify` walks the sorted enumeration
-once: a matrix not yet marked starts a new class (and is the lex-least
-member of it), and marks its whole orbit, walked from the matrix itself,
-which already is a column HNF.
+of the d! row permutations of ``m``, its orbit. ``intlinalg._hnf_walk``
+walks it from a matrix in column HNF by adjacent row swaps, repairing
+the form with one 2x2 unimodular fix of two columns per swap.
+:func:`classify` walks the sorted enumeration once: a matrix not yet
+marked starts a new class (and is the lex-least member of it), and marks
+its whole orbit, walked from the matrix itself, which already is a
+column HNF. This marking is the package's one equivalence test besides
+:func:`cones.canonical_key`: keying each enumerated matrix would cost one
+d! walk per matrix instead of one per class.
 
 A class is its presentation: ``ConeClass(name, dim, index,
 presentation)``, and everything else it holds is computed from the
@@ -19,8 +22,8 @@ presentation on first read and kept, so a table pass walks orbits and
 builds no cone, splits no cone and names no factor. The cone comes from
 :func:`cones.simplicial_cone`, I* is :func:`cones.dual_index` of it,
 and the factors are :func:`cones.direct_sum_decompose` of it, the
-package's one direct-sum rule, each named by the class whose
-presentation is the least image of its facets' orbit.
+package's one direct-sum rule, each named by the class of its table
+whose cone has the factor's canonical key.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import product
 from math import gcd
 
 from . import intlinalg as la
-from .cones import direct_sum_decompose, dual_index, simplicial_cone
+from .cones import canonical_key, direct_sum_decompose, dual_index, index, simplicial_cone
 
 _LETTERS = "ABCDEFGH"
 
@@ -67,7 +70,7 @@ class ConeClass:
         factors = direct_sum_decompose(self.cone)
         if len(factors) == 1:
             return ()
-        return tuple(_factor_name(f.facets).name for f in factors)
+        return tuple(_factor_name(f).name for f in factors)
 
     @cached_property
     def cone(self):
@@ -179,13 +182,12 @@ def classify(d, idx):
     return tuple(classes)
 
 
-def _factor_name(rows):
-    """The class of the simplicial cone with facet rows ``rows``, in any
-    presentation: the one whose presentation is the least HNF of their
-    orbit."""
-    least = min(la.hnf_orbit(rows))
-    for cls in classify(len(rows), la.lattice_index(least)):
-        if cls.presentation == least:
+def _factor_name(cone):
+    """The class of a simplicial cone in any presentation: the one of its
+    table whose cone has its canonical key."""
+    key = canonical_key(cone)
+    for cls in classify(cone.dim, index(cone)):
+        if canonical_key(cls.cone) == key:
             return cls
     raise AssertionError("factor not found in its classification table")
 

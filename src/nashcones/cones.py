@@ -18,7 +18,10 @@ orbit walk of each basis subset. A caller that keys many cones, such as
 a resolution tree, can hand :func:`canonical_key` a registry of the
 class minima keyed so far; a cone of a registered class stops the search
 at the first image that sorts to its class's minimum, and takes its key
-unchanged. Lattice direct sums are read off column HNFs by
+unchanged. The key is the package's one GL(d,Z) equivalence test
+besides ``classify``'s orbit marking: :func:`equivalent`, the resolution
+memo, dot grouping, the factor order and factor names all compare keys.
+Lattice direct sums are read off column HNFs by
 :func:`direct_sum_decompose`, the package's one direct-sum rule, which
 ``classify`` reads each class's factors from.
 """
@@ -437,10 +440,11 @@ def direct_sum_decompose(c):
     c1 + c2, each ray of b lies in one summand, and b ordered summand by
     summand has a block-diagonal column HNF (it is unique, and a
     block-diagonal matrix of HNFs is one), so a split depends only on the
-    set of basis positions before it. These splitting sets are closed
-    under complement and intersection, so the factors are the atoms, each
-    the smallest splitting set holding the first unplaced position: at
-    most 2^(d-1) - 1 sets tried. Ordered atom by atom, the image splits at
+    set of basis positions before it. One column HNF of all the rays
+    tests a set: its top block is the basis's own column HNF. These
+    splitting sets are closed under complement and intersection, so the
+    factors are the atoms, each the smallest splitting set holding the
+    first unplaced position: at most 2^(d-1) - 1 sets tried. Ordered atom by atom, the image splits at
     each atom's end, and its blocks there, the rows nonzero in each
     restricted to its columns, are the factors.
     """
@@ -448,21 +452,18 @@ def direct_sum_decompose(c):
     basis = list(islice(la.independent(c.rays), d))
     rows = [c.rays[i] for i in basis] + [r for i, r in enumerate(c.rays) if i not in basis]
 
-    def image(s, gens):  # basis positions s first
-        return la.column_hnf([gens[j] for j in s] + [r for j, r in enumerate(gens) if j not in s])
-
-    def splits(s):  # the basis alone first: most sets fail there
-        return all(_splits_at(image(s, part), len(s)) for part in (rows[:d], rows))
+    def image(s):  # basis positions s first
+        return la.column_hnf([rows[j] for j in s] + [r for j, r in enumerate(rows) if j not in s])
 
     atoms, rest = [], tuple(range(d))
     while rest:
         found = ((rest[0], *x) for n in range(len(rest) - 1) for x in combinations(rest[1:], n))
-        atom = next((s for s in found if splits(s)), rest)
+        atom = next((s for s in found if _splits_at(image(s), len(s))), rest)
         atoms.append(atom)
         rest = tuple(j for j in rest if j not in atom)
     if len(atoms) == 1:
         return [c]
-    h = image(sum(atoms, ()), rows)
+    h = image(sum(atoms, ()))
     ends = list(accumulate(map(len, atoms), initial=0))
     factors = [cone_from_rays([r[i:j] for r in h if any(r[i:j])]) for i, j in zip(ends, ends[1:])]
     return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))

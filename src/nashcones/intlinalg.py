@@ -22,20 +22,19 @@ One walk lists GL(d,Z) orbits of column HNFs: the d! row orders of a
 square nonsingular matrix in plain-changes order (Steinhaus-Johnson-
 Trotter, Johnson 1963), each one adjacent row swap from the one before,
 the form repaired after each swap with one 2x2 unimodular fix of two
-columns (:func:`_orbit_repairs`). :func:`hnf_orbit` walks from a matrix's
-column HNF; its private half, ``_hnf_walk``, from a matrix that already
-is one, as ``classify``'s enumerated matrices are. It lists the class
-orbits, and the orbit of a factor's facets gives the factor's name.
-:func:`least_images`, the canonical-key search over any rows spanning
-Q^d, walks each nonsingular d-subset of the rows the same way, the other
-rows riding along in every column operation, and yields each image
-whose sorted rows are below all before it, cutting an image unsorted
-when its least row is above the last yield's least row. The extended
-Euclid, :func:`xgcd`, is the package's only one: the column step, the
-walk's fix and ``surface``'s 2-D standard form take their Bezout pairs
-from it. Adjugates come from cofactor normals. Direct sums are read off
-column HNFs by ``cones.direct_sum_decompose``, the package's one
-direct-sum rule.
+columns (:func:`_orbit_repairs`). ``_hnf_walk`` walks from a matrix in
+column HNF, as ``classify``'s enumerated matrices are, and lists the
+class orbits. :func:`least_images`, the canonical-key search over any
+rows spanning Q^d, walks each nonsingular d-subset of the rows the same
+way, the other rows riding along in every column operation, and yields
+each image whose sorted rows are below all before it, cutting an image
+unsorted when its least row is above the last yield's least row, and
+``cones.canonical_key`` keys cones by it, direct-sum factors included.
+The extended Euclid, :func:`xgcd`, is the package's only one: the column
+step, the walk's fix and ``surface``'s 2-D standard form take their
+Bezout pairs from it. Adjugates come from cofactor normals. Direct sums
+are read off column HNFs by ``cones.direct_sum_decompose``, the
+package's one direct-sum rule.
 """
 
 from __future__ import annotations
@@ -102,10 +101,6 @@ def transpose(m) -> Mat:
 def matmul(a, b) -> Mat:
     bt = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_vec(m, v) -> Vec:
-    return tuple(dot(row, v) for row in m)
 
 
 def vec_mat(v, m) -> Vec:
@@ -326,21 +321,11 @@ def _plain_changes(d):
     return tuple(swaps)
 
 
-def hnf_orbit(m):
-    """Iterate over the column HNF of each row order of the square
-    nonsingular m, the d! orders in plain-changes order
-    (:func:`_plain_changes`): the HNF presentations of m's class, one per
-    order. The walk (:func:`_hnf_walk`) starts from :func:`column_hnf`
-    of m; a caller whose matrix already is a column HNF walks from it."""
-    d = len(m)
-    if any(len(row) != d for row in m):
-        raise NotSquare("the orbit walk requires a square matrix")
-    return _hnf_walk(column_hnf(m))
-
-
 def _hnf_walk(h):
-    """Yield the orbit of :func:`hnf_orbit` from h, a square matrix in
-    column HNF, which is the first image (:func:`_orbit_repairs`)."""
+    """Iterate over the column HNF of each row order of h, a square
+    nonsingular matrix in column HNF, the d! orders in plain-changes order
+    (:func:`_plain_changes`), h first: the HNF presentations of h's class,
+    one per order (:func:`_orbit_repairs`)."""
     for a in _orbit_repairs([list(row) for row in h], len(h)):
         yield tuple(map(tuple, a))
 
@@ -393,21 +378,22 @@ def _basis_starts(rows):
     search runs depth first on rows transposed, pivoting subset row k into
     column k (:func:`_pivot`, which never changes a row list in place, on
     a shallow copy), so a common prefix is eliminated once, and a prefix
-    of dependent rows cuts its subtree."""
+    of dependent rows cuts its subtree. Its stack holds (columns, s, j):
+    row j is still to be pivoted in after the prefix s, the least j on
+    top, so each pivot is made only when its subtree is reached."""
     d, n = len(rows[0]), len(rows)
-
-    def search(a, s):
-        k = len(s)
-        if k == d:
-            cols = list(zip(*a))
-            yield [list(cols[j]) for j in s] + [list(c) for j, c in enumerate(cols) if j not in s]
-            return
-        for j in range(s[-1] + 1 if s else 0, n - d + k + 1):
-            b = a[:]
-            if _pivot(b, k, j):
-                yield from search(b, (*s, j))
-
-    return search([list(col) for col in zip(*rows)], ())
+    stack = [([list(col) for col in zip(*rows)], (), j) for j in range(n - d, -1, -1)]
+    while stack:
+        a, s, j = stack.pop()
+        a = a[:]
+        if not _pivot(a, len(s), j):
+            continue
+        s += (j,)
+        if len(s) < d:
+            stack += [(a, s, i) for i in range(n - d + len(s), j, -1)]
+            continue
+        cols = list(zip(*a))
+        yield [list(cols[i]) for i in s] + [list(c) for i, c in enumerate(cols) if i not in s]
 
 
 def least_images(rows):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import count
 
 from .nash import MEMOIZED, PRUNED_DEPTH, PRUNED_KNOWN, SMOOTH, MemoEntry
 
@@ -37,14 +38,14 @@ def render_text(tree) -> str:
     unambiguous; fully expanded trees match the plain convention.
     """
     out = []
-
-    def walk(node, depth):
-        out.append("  " * depth + node_line(node) + _TEXT_MARKERS.get(node.status, ""))
-        for ch in node.children:
-            walk(ch, depth + 1)
-
-    walk(tree.root, 0)
+    _text_lines(tree.root, 0, out)
     return "\n".join(out) + "\n"
+
+
+def _text_lines(node, depth, out):
+    out.append("  " * depth + node_line(node) + _TEXT_MARKERS.get(node.status, ""))
+    for ch in node.children:
+        _text_lines(ch, depth + 1, out)
 
 
 # ------------------------------------------------------------------ JSON
@@ -105,43 +106,41 @@ def render_dot(tree) -> str:
     count. Non-simplicial cones are double-outlined with their facet count.
     """
     lines = ["digraph resolution {", '  node [shape=box, fontname="monospace"];']
-    counter = [0]
-
-    def new_id():
-        counter[0] += 1
-        return f"n{counter[0]}"
-
-    def label(node, mult):
-        prefix = f"{mult}× " if mult > 1 else ""
-        body = node_line(node)
-        if not node.cone.is_simplicial:
-            body += f" ({len(node.cone.facets)} facets)"
-        return prefix + body
-
-    def emit(node, mult):
-        nid = new_id()
-        attrs = [f'label="{label(node, mult)}"']
-        if not node.cone.is_simplicial:
-            attrs.append("peripheries=2")
-        if node.status == MEMOIZED:
-            attrs.append("style=dashed")
-        lines.append(f"  {nid} [{', '.join(attrs)}];")
-        smooth_count = 0
-        for rep, k in _group_children(node.children):
-            if rep.status == SMOOTH:
-                smooth_count += k
-                continue
-            cid = emit(rep, k)
-            lines.append(f"  {nid} -> {cid};")
-        if smooth_count:
-            cid = new_id()
-            lines.append(f'  {cid} [label="{smooth_count}", shape=circle];')
-            lines.append(f"  {nid} -> {cid};")
-        return nid
-
-    emit(tree.root, 1)
+    _dot_nodes(tree.root, 1, lines, count(1))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_label(node, mult):
+    prefix = f"{mult}× " if mult > 1 else ""
+    body = node_line(node)
+    if not node.cone.is_simplicial:
+        body += f" ({len(node.cone.facets)} facets)"
+    return prefix + body
+
+
+def _dot_nodes(node, mult, lines, ids):
+    """Append the dot lines of node's subtree, its node ids drawn from the
+    counter ``ids``; returns node's id."""
+    nid = f"n{next(ids)}"
+    attrs = [f'label="{_dot_label(node, mult)}"']
+    if not node.cone.is_simplicial:
+        attrs.append("peripheries=2")
+    if node.status == MEMOIZED:
+        attrs.append("style=dashed")
+    lines.append(f"  {nid} [{', '.join(attrs)}];")
+    smooth_count = 0
+    for rep, k in _group_children(node.children):
+        if rep.status == SMOOTH:
+            smooth_count += k
+            continue
+        cid = _dot_nodes(rep, k, lines, ids)
+        lines.append(f"  {nid} -> {cid};")
+    if smooth_count:
+        cid = f"n{next(ids)}"
+        lines.append(f'  {cid} [label="{smooth_count}", shape=circle];')
+        lines.append(f"  {nid} -> {cid};")
+    return nid
 
 
 # ------------------------------------------------------------------ cache

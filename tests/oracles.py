@@ -19,6 +19,11 @@ from nashcones.nash import MEMOIZED
 from nashcones.serialize import _subtree_shape
 
 
+def mat_vec(m, v):
+    """The matrix m times the column vector v."""
+    return tuple(la.dot(row, v) for row in m)
+
+
 def localize_by_tight_facets(p, v):
     """The tangent cone of p at the vertex v as a double description of
     its own: the cone of the inequalities of p tight at v."""
@@ -91,7 +96,7 @@ def hnf_images(rows):
 
 
 # Johnson's mobile-integer rule, the reference for the plain-changes
-# order of intlinalg.hnf_orbit.
+# order of intlinalg._hnf_walk.
 
 
 def plain_changes(d):
@@ -144,8 +149,8 @@ def standardize_rays(r1, r2):
     if x * a + y * b < 0:
         x, y = -x, -y
     first = ((x, y), (-b, a))
-    assert la.mat_vec(first, r1) == (1, 0)
-    e, f = la.mat_vec(first, r2)
+    assert mat_vec(first, r1) == (1, 0)
+    e, f = mat_vec(first, r2)
     assert f > 0
     shear = ((1, -(e // f)), (0, 1))
     return (e - (e // f) * f, f), la.matmul(shear, first)
@@ -282,7 +287,7 @@ def direct_sum_by_projection(c):
         p = la.transpose([[x // big_d for x in row] for row in projection(s)])
         k = [row for row in la.row_hnf(p) if any(row)]
         part = [r for r, t in zip(c.rays, supports) if t & mask]
-        factors.append(cone_from_rays([la.mat_vec(k, r) for r in part]))
+        factors.append(cone_from_rays([mat_vec(k, r) for r in part]))
     return sorted(factors, key=lambda f: (-f.dim, index(f), canonical_key(f)))
 
 
@@ -290,10 +295,10 @@ def reducibility_of(factors):
     """A class's reducibility from factor cones sorted by decreasing
     dimension, then index, then key, as :func:`direct_sum_by_projection`
     returns them: each named by the class that :func:`classify._factor_name`
-    finds from its facets, none when there is one factor."""
+    finds for it, none when there is one factor."""
     if len(factors) == 1:
         return ()
-    return tuple(_factor_name(f.facets).name for f in factors)
+    return tuple(_factor_name(f).name for f in factors)
 
 
 def factor_summary(factors):

@@ -288,12 +288,12 @@ def test_factor_name_finds_the_class_from_any_presentation():
                 rows = list(cls.presentation)
                 rng.shuffle(rows)
                 u = oracles.random_unimodular(rng, d) if d > 1 else ((rng.choice((1, -1)),),)
-                assert _factor_name(la.matmul(rows, u)).name == cls.name, cls.name
+                assert _factor_name(simplicial_cone(la.matmul(rows, u))).name == cls.name, cls.name
                 # in column HNF already, and lower triangular with a positive
                 # diagonal but one entry unreduced
-                assert _factor_name(cls.presentation) is cls
+                assert _factor_name(simplicial_cone(cls.presentation)) is cls
                 shear = [[int(r == c or (r, c) == (d - 1, 0)) for c in range(d)] for r in range(d)]
-                assert _factor_name(la.matmul(cls.presentation, shear)) is cls
+                assert _factor_name(simplicial_cone(la.matmul(cls.presentation, shear))) is cls
 
 
 @st.composite
@@ -319,7 +319,7 @@ def test_block_sums_decompose_as_the_projection_route(rows):
     cone = simplicial_cone(rows)
     factors = direct_sum_decompose(cone)
     want = oracles.direct_sum_by_projection(cone)
-    assert tuple(_factor_name(f.facets).name for f in factors) == oracles.reducibility_of(want)
+    assert tuple(_factor_name(f).name for f in factors) == oracles.reducibility_of(want)
     assert oracles.factor_summary(factors) == oracles.factor_summary(want)
 
 
@@ -327,9 +327,6 @@ def test_classify_checks_dimension_before_listing_permutations(monkeypatch):
     def unreachable(*args):
         raise AssertionError("d!-sized orbit search started for a dimension without a letter")
 
-    # classify walks its enumerated HNFs with the private entry; patch
-    # both, so that the test fails whichever walk runs before the check
-    monkeypatch.setattr(la, "hnf_orbit", unreachable)
     monkeypatch.setattr(la, "_hnf_walk", unreachable)
     with pytest.raises(ValueError, match="dimension 9"):
         classify.__wrapped__(9, 1)
@@ -374,13 +371,15 @@ def test_classify_builds_no_class_cone():
     classify.cache_clear()
     table = classify(3, 7)
     assert not [cls.name for cls in table if "cone" in vars(cls)]
-    # the factor order reads the factor cones, so no 2-D factor class
-    # builds its own
+    # naming a factor compares its key with the keys of its table's
+    # classes, so reading the factors builds the cones of exactly the
+    # factor tables' classes
     factors = {name for cls in table for name in cls.reducibility}
     assert any(name.startswith("B_") for name in factors)
+    read = {int(name.split("_")[1]) for name in factors if name.startswith("B_")}
     for i in range(1, 8):
         for k in classify(2, i):
-            assert "cone" not in vars(k), k.name
+            assert ("cone" in vars(k)) == (i in read), k.name
     for cls in table:
         assert cone_by_name(cls.name) is cls.cone, cls.name
         assert "cone" in vars(cls)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -196,6 +198,32 @@ def test_resolve_dot_output():
     assert out.startswith("digraph resolution {")
     assert "4×" in out  # four identical pruned-free subtrees collapse
     assert 'shape=circle' in out
+
+
+def test_resolve_leaves_no_function_in_a_reference_cycle():
+    # the recursive walks of a resolve (the key search, the renderers) keep
+    # no closure that refers to itself, so with the collector off a run in
+    # each format leaves no function of the package for it to free
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        leaked = {}
+        for fmt in ("text", "json", "dot"):
+            code, out, _ = run_cli("resolve", "--name", "C_3_3", "--format", fmt)
+            assert code == 0 and out, fmt
+            gc.collect()
+            leaked[fmt] = sorted(
+                f.__qualname__
+                for f in gc.garbage
+                if isinstance(f, FunctionType) and (f.__module__ or "").startswith("nashcones")
+            )
+            gc.garbage.clear()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == {"text": [], "json": [], "dot": []}
 
 
 def test_dot_groups_match_the_two_stage_oracle():

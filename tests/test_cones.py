@@ -32,6 +32,7 @@ from oracles import (
     direct_sum_by_projection,
     factor_summary,
     localize_by_tight_facets,
+    mat_vec,
     random_unimodular,
 )
 from tabledata import DIM3_CLASSES, DIM4_CLASSES, presentation
@@ -42,7 +43,7 @@ def orthant(d):
 
 
 def apply_unimodular(u, cone):
-    return cone_from_rays([la.mat_vec(u, r) for r in cone.rays])
+    return cone_from_rays([mat_vec(u, r) for r in cone.rays])
 
 
 def random_proper_cone(rng, d, max_rays=8):
@@ -492,7 +493,7 @@ def _equivalent_by_ray_bases(a, b):
         if any(x % det_base for row in num for x in row):
             continue
         u = tuple(tuple(x // det_base for x in row) for row in num)
-        if abs(la.det(u)) == 1 and {la.mat_vec(u, r) for r in a.rays} == target:
+        if abs(la.det(u)) == 1 and {mat_vec(u, r) for r in a.rays} == target:
             return True
     return False
 

@@ -36,7 +36,7 @@ from nashcones.nash import (
     unique_cone_count,
 )
 
-from oracles import hnf_images, localize_by_tight_facets, random_unimodular
+from oracles import hnf_images, localize_by_tight_facets, mat_vec, random_unimodular
 from tabledata import DIM3_CLASSES, GOLDEN_TREES, presentation
 
 
@@ -232,7 +232,7 @@ def test_blowup_equivariance():
         images = 10 if i <= 4 else 4
         for _ in range(images):
             u = random_unimodular(rng, 3, flip=0)
-            img = cone_from_rays([la.mat_vec(u, r) for r in c.rays])
+            img = cone_from_rays([mat_vec(u, r) for r in c.rays])
             assert sorted(canonical_key(k) for k in nash_blowup(img)) == base, name
 
 

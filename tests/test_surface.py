@@ -210,7 +210,7 @@ def test_standard_form_transform_is_exact():
         p1, p2 = la.primitive(r1), la.primitive(r2)
         std, u = standardize_rays(p1, p2)
         assert la.det(u) == 1
-        images = {la.mat_vec(u, p1), la.mat_vec(u, p2)}
+        images = {oracles.mat_vec(u, p1), oracles.mat_vec(u, p2)}
         assert images == {(1, 0), (std.p, std.q)}
         assert 0 <= std.p < std.q or (std.p, std.q) == (0, 1)
         assert gcd(std.p, std.q) == 1
