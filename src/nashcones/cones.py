@@ -444,9 +444,9 @@ def direct_sum_decompose(c):
     tests a set: its top block is the basis's own column HNF. These
     splitting sets are closed under complement and intersection, so the
     factors are the atoms, each the smallest splitting set holding the
-    first unplaced position: at most 2^(d-1) - 1 sets tried. Ordered atom by atom, the image splits at
-    each atom's end, and its blocks there, the rows nonzero in each
-    restricted to its columns, are the factors.
+    first unplaced position: at most 2^(d-1) - 1 sets tried. Ordered atom
+    by atom, the image splits at each atom's end, and its blocks there,
+    the rows nonzero in each restricted to its columns, are the factors.
     """
     d = c.dim
     basis = list(islice(la.independent(c.rays), d))
