@@ -15,9 +15,13 @@ explicitly and serves as the reference.
 
 The tree expands non-smooth cones recursively, with optional pruning of
 small-index simplicial cones and memoization keyed by canonical form.
-Each tree keeps the class registry of :func:`cones.canonical_key`, so a
-cone whose class the tree has already keyed stops its key search at the
-first image that sorts to the class's minimum.
+Each node holds one :class:`MemoEntry`, its subtree's statistics: a leaf
+builds its own, a memoized node holds the memo's object, and an expanded
+node builds one from its children's entries, the object the memo keeps
+and the cache writes. Output reads a node's I and I* off its cone. Each
+tree keeps the class registry of :func:`cones.canonical_key`, so a cone
+whose class the tree has already keyed stops its key search at the first
+image that sorts to the class's minimum.
 """
 
 from __future__ import annotations
@@ -133,24 +137,9 @@ def nash_blowup(c):
 # ------------------------------------------------------------------ trees
 
 
-@dataclass
-class TreeNode:
-    cone: Cone
-    index: int
-    dual_index: int
-    status: str
-    key: bytes
-    children: list = field(default_factory=list)
-    depth_below: int = 0
-    size: int = 1
-    max_facets: int = 0
-    resolved: bool = True
-    has_pruned: bool = False
-
-
 @dataclass(frozen=True)
 class MemoEntry:
-    """Cached statistics of a resolved subtree."""
+    """Statistics of a subtree: a tree node's, a memo value and a cache record."""
 
     dim: int
     index: int
@@ -160,6 +149,16 @@ class MemoEntry:
     max_facets: int
     has_pruned: bool
     child_keys: tuple
+
+
+@dataclass
+class TreeNode:
+    cone: Cone
+    status: str
+    key: bytes
+    entry: MemoEntry
+    children: list = field(default_factory=list)
+    resolved: bool = True
 
 
 @dataclass
@@ -191,8 +190,8 @@ class TreeStats:
 
 def tree_stats(tree) -> TreeStats:
     """Raw subtree statistics; memoized nodes count as fully expanded."""
-    root = tree.root
-    return TreeStats(root.depth_below, root.size, root.max_facets, root.resolved)
+    e = tree.root.entry
+    return TreeStats(e.depth_below, e.size, e.max_facets, tree.root.resolved)
 
 
 def unique_cone_count(tree) -> int:
@@ -218,41 +217,29 @@ def unique_cone_count(tree) -> int:
     return len(seen)
 
 
+def _leaf(cone, status, key, pruned=False, resolved=True):
+    entry = MemoEntry(cone.dim, index(cone), dual_index(cone), 0, 1, len(cone.facets), pruned, ())
+    return TreeNode(cone, status, key, entry, resolved=resolved)
+
+
 def _expand(tree, cone, depth):
     # Module level and handed its tree: a nested recursive closure would
     # refer to itself through its own cell, and that cycle would keep the
     # memo alive until a full garbage collection.
-    node = TreeNode(
-        cone,
-        index(cone),
-        dual_index(cone),
-        EXPANDED,
-        canonical_key(cone, tree.registry),
-        max_facets=len(cone.facets),
-    )
+    key = canonical_key(cone, tree.registry)
     if is_smooth(cone):
-        node.status = SMOOTH
-        return node
+        return _leaf(cone, SMOOTH, key)
     if (
         tree.prune_below_index is not None
         and cone.is_simplicial
-        and node.index < tree.prune_below_index
+        and index(cone) < tree.prune_below_index
     ):
-        node.status = PRUNED_KNOWN
-        node.has_pruned = True
-        return node
+        return _leaf(cone, PRUNED_KNOWN, key, pruned=True)
     if depth >= tree.max_depth or tree.budget_hit:
-        node.status = PRUNED_DEPTH
-        node.resolved = False
-        return node
-    entry = tree.memo.get(node.key) if tree.memoize else None
+        return _leaf(cone, PRUNED_DEPTH, key, resolved=False)
+    entry = tree.memo.get(key) if tree.memoize else None
     if entry is not None and depth + entry.depth_below <= tree.max_depth:
-        node.status = MEMOIZED
-        node.depth_below = entry.depth_below
-        node.size = entry.size
-        node.max_facets = entry.max_facets
-        node.has_pruned = entry.has_pruned
-        return node
+        return TreeNode(cone, MEMOIZED, key, entry)
 
     children = sorted(
         nash_blowup(cone), key=lambda ch: (canonical_key(ch, tree.registry), ch.facets)
@@ -260,27 +247,23 @@ def _expand(tree, cone, depth):
     tree.nodes_created += len(children)
     if tree.nodes_created > tree.max_nodes:
         tree.budget_hit = True
-        node.status = PRUNED_DEPTH
-        node.resolved = False
-        return node
-    node.children = [_expand(tree, ch, depth + 1) for ch in children]
-    node.depth_below = 1 + max(ch.depth_below for ch in node.children)
-    node.size = 1 + sum(ch.size for ch in node.children)
-    node.max_facets = max([node.max_facets] + [ch.max_facets for ch in node.children])
-    node.resolved = all(ch.resolved for ch in node.children)
-    node.has_pruned = any(ch.has_pruned for ch in node.children)
-    if tree.memoize and node.resolved and node.key not in tree.memo:
-        tree.memo[node.key] = MemoEntry(
-            cone.dim,
-            node.index,
-            node.dual_index,
-            node.depth_below,
-            node.size,
-            node.max_facets,
-            node.has_pruned,
-            tuple(ch.key for ch in node.children),
-        )
-        tree.new_memo_keys.append(node.key)
+        return _leaf(cone, PRUNED_DEPTH, key, resolved=False)
+    nodes = [_expand(tree, ch, depth + 1) for ch in children]
+    below = [n.entry for n in nodes]
+    entry = MemoEntry(
+        cone.dim,
+        index(cone),
+        dual_index(cone),
+        1 + max(e.depth_below for e in below),
+        1 + sum(e.size for e in below),
+        max(len(cone.facets), *(e.max_facets for e in below)),
+        any(e.has_pruned for e in below),
+        tuple(n.key for n in nodes),
+    )
+    node = TreeNode(cone, EXPANDED, key, entry, nodes, all(n.resolved for n in nodes))
+    if tree.memoize and node.resolved and key not in tree.memo:
+        tree.memo[key] = entry
+        tree.new_memo_keys.append(key)
     return node
 
 

@@ -13,6 +13,7 @@ import json
 import os
 from itertools import count
 
+from .cones import dual_index, index
 from .nash import MEMOIZED, PRUNED_DEPTH, PRUNED_KNOWN, SMOOTH, MemoEntry
 
 _TEXT_MARKERS = {
@@ -28,7 +29,7 @@ def _row_str(v):
 
 def node_line(node) -> str:
     rows = ",".join(_row_str(f) for f in node.cone.facets)
-    return f"{rows} [{node.index},{node.dual_index}]"
+    return f"{rows} [{index(node.cone)},{dual_index(node.cone)}]"
 
 
 def render_text(tree) -> str:
@@ -56,8 +57,8 @@ def _node_to_obj(node):
         "dim": node.cone.dim,
         "rays": [[str(x) for x in r] for r in node.cone.rays],
         "facets": [[str(x) for x in f] for f in node.cone.facets],
-        "I": str(node.index),
-        "Istar": str(node.dual_index),
+        "I": str(index(node.cone)),
+        "Istar": str(dual_index(node.cone)),
         "status": node.status,
         "children": [_node_to_obj(ch) for ch in node.children],
     }
@@ -72,7 +73,8 @@ def render_json(tree) -> str:
 
 def _subtree_shape(node):
     """Label shape of a subtree; memoized leaves stand in by their key."""
-    label = (node.cone.dim, len(node.cone.facets), node.index, node.dual_index, node.status)
+    c = node.cone
+    label = (c.dim, len(c.facets), index(c), dual_index(c), node.status)
     if node.status == MEMOIZED:
         return (label, node.key)
     return (label, tuple(sorted(_subtree_shape(ch) for ch in node.children)))

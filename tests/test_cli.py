@@ -186,7 +186,7 @@ def test_resolve_json_round_trip():
         return (canonical_key(node.cone), tuple(keys(c) for c in node.children))
 
     def stats(node):
-        return ((node.index, node.dual_index), tuple(stats(c) for c in node.children))
+        return ((index(node.cone), dual_index(node.cone)), tuple(stats(c) for c in node.children))
 
     assert keys(parsed) == keys(tree.root)
     assert stats(parsed) == stats(tree.root)

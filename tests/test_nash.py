@@ -474,14 +474,14 @@ def test_unique_count_ignores_visit_order():
     # meets first, as it is in the tree without a memo
     memo = {b"a": MemoEntry(3, 2, 2, 2, 3, 3, False, (b"b",)),
             b"b": MemoEntry(3, 2, 2, 1, 2, 3, False, (b"c",))}
-    a = TreeNode(None, 2, 2, "memoized", b"a", depth_below=2, size=3)
-    b = TreeNode(None, 2, 2, "pruned-depth", b"b", resolved=False)
-    chain = TreeNode(None, 2, 2, "expanded", b"x", children=[
-        TreeNode(None, 2, 2, "expanded", b"y", children=[b])])
+    a = TreeNode(None, "memoized", b"a", memo[b"a"])
+    b = TreeNode(None, "pruned-depth", b"b", None, resolved=False)
+    chain = TreeNode(None, "expanded", b"x", None, children=[
+        TreeNode(None, "expanded", b"y", None, children=[b])])
 
     def count(children):
         tree = ResolutionTree(None, True, 3, 100, memo)
-        tree.root = TreeNode(None, 4, 4, "expanded", b"r", children=children)
+        tree.root = TreeNode(None, "expanded", b"r", None, children=children)
         return unique_cone_count(tree)
 
     assert count([chain, a]) == count([a, chain]) == 6
