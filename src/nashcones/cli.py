@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from math import gcd
 
 from . import checks, serialize
 from .classify import classify, class_counts, cone_by_name
@@ -21,7 +20,14 @@ from .cones import cone_from_facets, cone_from_rays
 from .errors import BudgetExceeded
 from .hilbert import hilbert_basis
 from .nash import resolution_tree, tree_stats, unique_cone_count
-from .surface import StdCone2D, hilbert_basis_2d, hj_expand, nash_blowup_2d, resolve_2d
+from .surface import (
+    StdCone2D,
+    check_standard_2d,
+    hilbert_basis_2d,
+    hj_expand,
+    nash_blowup_2d,
+    resolve_2d,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,12 +131,10 @@ def _cmd_enumerate(args):
 
 
 def _cmd_hj(args):
-    p, q = args.p, args.q
-    if q < 1 or not 0 <= p < q or gcd(p, q) != 1:
-        raise ValueError("need 0 <= p < q with p, q coprime")
-    s = StdCone2D(p, q)
+    s = StdCone2D(args.p, args.q)
+    check_standard_2d(s)
     if args.action == "expand":
-        print(" ".join(str(t) for t in hj_expand(Fraction(p, q)).terms))
+        print(" ".join(str(t) for t in hj_expand(Fraction(s.p, s.q)).terms))
     elif args.action == "basis":
         for v in hilbert_basis_2d(s):
             print(" ".join(str(x) for x in v))

@@ -9,6 +9,10 @@ class ZeroVector(LatticeError):
     pass
 
 
+class NotInteger(LatticeError):
+    """An entry is not an integer (a float, Fraction or str, say)."""
+
+
 class NotSquare(LatticeError):
     pass
 

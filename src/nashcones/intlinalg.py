@@ -41,20 +41,26 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import index as as_int
 from operator import mul
 
-from .errors import NotFullRank, NotSquare, RankDeficient, Singular, ZeroVector
+from .errors import NotFullRank, NotInteger, NotSquare, RankDeficient, Singular, ZeroVector
 
 Vec = tuple
 Mat = tuple
 
 
 def vec(entries) -> Vec:
-    return tuple(int(x) for x in entries)
+    """The entries as a tuple of ints; raises NotInteger for an entry that
+    is not an integer type (a float, Fraction or str is never rounded)."""
+    try:
+        return tuple(map(as_int, entries))
+    except TypeError:
+        raise NotInteger(f"entries must be integers, got {entries!r}") from None
 
 
 def mat(rows) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(vec(row) for row in rows)
 
 
 def vec_gcd(v) -> int:

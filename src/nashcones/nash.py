@@ -54,12 +54,13 @@ def sum_set(h):
 
     Each independent d-subset is met once: its first d - 1 elements have a
     nonzero cofactor normal n, and its last element x has n . x != 0, as
-    n . x is the determinant of all d.
+    n . x is the determinant of all d. Raises ValueError when there are
+    fewer than d elements, none included.
     """
     elements = h.elements if isinstance(h, HilbertBasis) else tuple(tuple(v) for v in h)
+    if not elements or len(elements) < len(elements[0]):
+        raise ValueError("sum_set needs at least d basis elements in Z^d")
     d = len(elements[0])
-    if len(elements) < d:
-        raise AssertionError("Hilbert basis smaller than the dimension")
     sums = set()
     for head in combinations(range(len(elements)), d - 1):
         rows = [elements[i] for i in head]

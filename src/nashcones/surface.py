@@ -141,8 +141,15 @@ def standard_form_2d(c):
     return standardize_rays(r1, r2)
 
 
+def check_standard_2d(s):
+    """Raise ValueError unless s is a standard form: 0 <= p < q, coprime."""
+    if not 0 <= s.p < s.q or gcd(s.p, s.q) != 1:
+        raise ValueError("need 0 <= p < q with p, q coprime")
+
+
 def hilbert_basis_2d(s) -> tuple:
-    """Hilbert basis of the standard cone: p/q's convergents, on integers."""
+    """Hilbert basis of the standard cone: p/q's convergents, on integers.
+    An unreduced pair spans the cone of its reduced one and gives its basis."""
     return tuple(_hj_euclid(s.p, s.q)[1])
 
 
@@ -157,7 +164,8 @@ def nash_blowup_2d(s):
     standardizes each tangent cone, spanned by the way back and the way
     ahead.
     """
-    if s.q <= 1:
+    check_standard_2d(s)
+    if s.q == 1:
         raise ValueError("cone is smooth; nothing to blow up")
     v = hilbert_basis_2d(s)
     steps = [(-1, 0)] + [(c[0] - a[0], c[1] - a[1]) for a, c in zip(v, v[2:])] + [v[-1]]
@@ -175,6 +183,7 @@ def resolve_2d(s):
     Returns (steps, levels); levels[i] lists the cones after i steps, with
     repeats. Each distinct cone is blown up once per call.
     """
+    check_standard_2d(s)
     children = {}
     levels = [[s]]
     while any(t.q > 1 for t in levels[-1]):

@@ -511,6 +511,25 @@ def test_cache_conflicting_records_exit_2(tmp_path):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_cache_record_indices_never_reach_the_output(tmp_path, fmt):
+    # a node's I and I* come from its cone: a well-formed record whose
+    # indices are wrong feeds the memo but leaves the output as it was
+    args = ("resolve", "--name", "C_9_3", "--format", fmt)
+    cache = tmp_path / "cache.jsonl"
+    run_cli(*args, "--cache", str(cache))
+    code, want, _ = run_cli(*args, "--cache", str(cache))
+    assert code == 0
+    if fmt == "text":
+        assert want.endswith("[9,9] *\n")  # the root is a memoized leaf
+    lines = cache.read_text().splitlines()
+    rec = json.loads(lines[-1])  # the root's record: children go out first
+    wrong = dict(rec, I=str(int(rec["I"]) + 1), Istar=str(int(rec["Istar"]) + 1))
+    cache.write_text("\n".join(lines[:-1] + [json.dumps(wrong)]) + "\n")
+    code, out, err = run_cli(*args, "--cache", str(cache))
+    assert (code, out) == (0, want) and err.endswith("nodes-created 1\n")
+
+
 def test_cache_env_override(tmp_path):
     cache = str(tmp_path / "env_cache.jsonl")
     code, _, _ = run_cli(
@@ -777,6 +796,9 @@ def test_hj_commands():
     assert out.strip() == "1 3 2 2"
     code, _, _ = run_cli("hj", "2", "4", "expand")
     assert code == 2  # not coprime
+    code, out, err = run_cli("hj", "3", "3", "blowup")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: need 0 <= p < q with p, q coprime\n"
 
 
 # SHA-256 over the stdout of `hj P Q resolve` for every coprime pair

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -26,7 +27,7 @@ from nashcones.cones import (
     simplicial_cone,
 )
 from nashcones.classify import _perm_equivalent
-from nashcones.errors import NotAVertex, NotProper
+from nashcones.errors import LatticeError, NotAVertex, NotInteger, NotProper
 
 from oracles import (
     direct_sum_by_projection,
@@ -106,6 +107,21 @@ def test_improper_inputs_rejected():
         cone_from_rays([(1, 0), (0, 1, 1)])
     with pytest.raises(ValueError, match="^facets have mixed dimensions$"):
         cone_from_facets([(1, 0), (0, 1, 1)])
+
+
+@pytest.mark.parametrize("build", [cone_from_rays, cone_from_facets, simplicial_cone])
+@pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), "1", 1.0])
+def test_non_integer_entries_rejected(build, entry):
+    # int() had truncated each of these, giving the cone on (1,0),(0,1);
+    # a LatticeError is a ValueError, which the CLI maps to exit 2
+    with pytest.raises(NotInteger, match="^entries must be integers") as info:
+        build([(entry, 0), (0, 1)])
+    assert isinstance(info.value, LatticeError)
+
+
+@pytest.mark.parametrize("build", [cone_from_rays, cone_from_facets, simplicial_cone])
+def test_bool_entries_read_as_ints(build):
+    assert build([(True, False), (0, 1)]) == build([(1, 0), (0, 1)])
 
 
 def test_dual_swaps_rays_and_facets():

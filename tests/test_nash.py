@@ -37,7 +37,7 @@ from nashcones.nash import (
 )
 
 from oracles import hnf_images, localize_by_tight_facets, mat_vec, random_unimodular
-from tabledata import DIM3_CLASSES, GOLDEN_TREES, presentation
+from tabledata import DIM3_CLASSES, DIM4_CLASSES, GOLDEN_TREES, presentation
 
 
 # ---------------------------------------------------------------- sum sets
@@ -74,6 +74,13 @@ def test_sum_set_matches_brute_force():
             if la.rank(subset) == d:
                 brute.add(tuple(sum(col) for col in zip(*subset)))
         assert sum_set(elements) == brute, elements
+
+
+@pytest.mark.parametrize("elements", [[], [(1, 0, 0), (0, 1, 0)]])
+def test_sum_set_rejects_fewer_elements_than_the_dimension(elements):
+    # the first raised a bare IndexError, the second an AssertionError
+    with pytest.raises(ValueError, match="^sum_set needs at least d basis elements in Z\\^d$"):
+        sum_set(elements)
 
 
 # ---------------------------------------------------------------- greedy
@@ -495,6 +502,35 @@ def test_memoized_subtree_stats():
     statuses = [n.status for n in tr.root.children]
     assert "memoized" in statuses
     assert tree_stats(tr) == tree_stats(resolution_tree(c, memoize=False))
+
+
+@pytest.mark.parametrize("max_depth", [32, 3, 2])
+@pytest.mark.parametrize("prune", [None, 5])
+def test_expanded_entries_equal_the_memo_entries(max_depth, prune):
+    # memoization may change a tree's cost, never its statistics: each
+    # resolved expanded node of a memo-free tree carries the entry that
+    # the memoized run keeps under its key, and each memoized node holds
+    # the memo's own object. D_5_14 alone would take seconds a run; CI
+    # compares its memoized and memo-free statistics
+    compared = 0
+    for name in [*DIM3_CLASSES, *(n for n in DIM4_CLASSES if n != "D_5_14")]:
+        c = cone_from_facets(presentation(name))
+        plain = resolution_tree(c, prune, memoize=False, max_depth=max_depth)
+        memo = resolution_tree(c, prune, max_depth=max_depth)
+        stack = [plain.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if node.status == "expanded" and node.resolved:
+                assert node.entry == memo.memo[node.key], name
+                compared += 1
+        stack = [memo.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if node.status == "memoized":
+                assert node.entry is memo.memo[node.key], name
+    assert compared
 
 
 def test_memo_shared_across_runs():

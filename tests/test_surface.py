@@ -12,6 +12,7 @@ from nashcones.cones import cone_from_rays, equivalent
 from nashcones.errors import ZeroDenominator
 from nashcones.surface import (
     StdCone2D,
+    check_standard_2d,
     hilbert_basis_2d,
     hj_eval,
     hj_expand,
@@ -300,6 +301,14 @@ def test_blowup_matches_the_fraction_oracle():
 def test_blowup_smooth_rejected():
     with pytest.raises(ValueError):
         nash_blowup_2d(StdCone2D(0, 1))
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (2, 4), (5, 3), (0, 0)])
+def test_non_standard_pairs_rejected(p, q):
+    # nash_blowup_2d(StdCone2D(3, 3)) had blown up a smooth cone
+    for f in (nash_blowup_2d, resolve_2d, check_standard_2d):
+        with pytest.raises(ValueError, match="^need 0 <= p < q with p, q coprime$"):
+            f(StdCone2D(p, q))
 
 
 def test_resolve_examples():
