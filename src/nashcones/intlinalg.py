@@ -41,8 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from operator import index as as_int
-from operator import mul
+from operator import index as as_int, mul
 
 from .errors import NotFullRank, NotInteger, NotSquare, RankDeficient, Singular, ZeroVector
 
