@@ -510,8 +510,9 @@ def test_expanded_entries_equal_the_memo_entries(max_depth, prune):
     # memoization may change a tree's cost, never its statistics: each
     # resolved expanded node of a memo-free tree carries the entry that
     # the memoized run keeps under its key, and each memoized node holds
-    # the memo's own object. D_5_14 alone would take seconds a run; CI
-    # compares its memoized and memo-free statistics
+    # the memo's own object, as does the node each new memo entry came
+    # from. D_5_14 alone would take seconds a run; CI compares its
+    # memoized and memo-free statistics
     compared = 0
     for name in [*DIM3_CLASSES, *(n for n in DIM4_CLASSES if n != "D_5_14")]:
         c = cone_from_facets(presentation(name))
@@ -524,12 +525,14 @@ def test_expanded_entries_equal_the_memo_entries(max_depth, prune):
             if node.status == "expanded" and node.resolved:
                 assert node.entry == memo.memo[node.key], name
                 compared += 1
-        stack = [memo.root]
+        stack, held = [memo.root], set()
         while stack:
             node = stack.pop()
             stack.extend(node.children)
+            held.add(id(node.entry))
             if node.status == "memoized":
                 assert node.entry is memo.memo[node.key], name
+        assert all(id(memo.memo[key]) in held for key in memo.new_memo_keys), name
     assert compared
 
 
